@@ -12,13 +12,9 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .fockspace import trace_out_spin
-from .probe import measure_nbar
+from .probe import FitError, measure_nbar
 from .protocol import (run, config_with_coupling, config_with_ratio,
                        SimulationDiverged)
-
-
-class FitError(RuntimeError):
-    """A scan-level fit failed or was ill-posed."""
 
 
 @dataclass
@@ -68,7 +64,8 @@ def _steady_point(args):
         rho_m = trace_out_spin(traj.final_state)
         opts = dict(probe_opts or {})
         omega_probe = opts.pop("omega_probe", config.cool.omega_c)
-        nbar, sigma, _, _ = measure_nbar(rho_m, omega_probe, **opts)
+        nbar, sigma, _, _ = measure_nbar(rho_m, omega_probe, seed=config.seed,
+                                         **opts)
     return dict(nbar=nbar, sigma=sigma, converged=traj.converged,
                 cycles=traj.cycles_run, n_max=int(traj.n_max_used[-1]))
 

@@ -1,5 +1,6 @@
 """State-evolution primitives: unitary steps, Lindblad integration, the
-sideband-cooling channel (exact and linearized), spin reset and noise.
+sideband-cooling channel (exact and linearized) on the boson state, spin
+reset and noise.
 
 Jump operators carry units of 1/sqrt(us); Hamiltonians rad/us.
 """
@@ -8,8 +9,9 @@ import numpy as np
 import scipy.sparse as sp
 from dataclasses import dataclass
 
-from .fockspace import FockCutoff, build_boson_ops, tensor, trace_out_spin
-from .model import (h_red_sideband, frame_shift_diagonal)
+from .fockspace import (FockCutoff, build_boson_ops, embed_down, tensor,
+                        trace_out_spin)
+from .model import h_red_sideband, frame_shift_diagonal
 
 DT_CAP_US = 0.1
 DT_PHASE_BUDGET = 0.05
@@ -54,17 +56,21 @@ class NoiseParams:
 
 
 def make_noise_jumps(noise, cutoff):
-    """Heating, cooling-counterpart and dephasing jump operators (full space)."""
+    """Heating, cooling-counterpart and dephasing jump operators (boson space)."""
     a, adag, num = build_boson_ops(cutoff)
-    eye2 = np.eye(2)
     jumps = []
     if noise.heating_rate > 0:
         gamma = noise.heating_rate / noise.thermal_nth
-        jumps.append(np.sqrt(noise.heating_rate) * tensor(eye2, adag))
-        jumps.append(np.sqrt(gamma * (noise.thermal_nth + 1)) * tensor(eye2, a))
+        jumps.append(np.sqrt(noise.heating_rate) * adag)
+        jumps.append(np.sqrt(gamma * (noise.thermal_nth + 1)) * a)
     if noise.dephasing_rate > 0:
-        jumps.append(np.sqrt(2 * noise.dephasing_rate) * tensor(eye2, num))
+        jumps.append(np.sqrt(2 * noise.dephasing_rate) * num)
     return jumps
+
+
+def lift(ops):
+    """Spin-identity extensions I (x) L of boson operators."""
+    return [tensor(np.eye(2), L) for L in ops]
 
 
 def spectral_norm_hermitian(H):
@@ -254,13 +260,50 @@ class SplitStepPropagator:
         return out
 
 
+def pulse_kraus(mode, theta, cutoff):
+    """Kraus operators of a noise-free cooling pulse on the boson state.
+
+    The spin enters in |down> and is pumped back to |down> afterwards, so a
+    pulse of area theta = Omega_c tau_c / 2 acts on rho_m alone.  Each
+    operator is returned as (k, w) with A|n> = w[n] |n-k>:
+
+    - exact: cos(theta sqrt n) and sin(theta sqrt n)|n-1><n|, the resonant
+      red-sideband rotation of |down, n> into |up, n-1>;
+    - lindblad: bosonic amplitude damping with eta = exp(-theta^2),
+      A_k|n> = sqrt(C(n,k) eta^(n-k) (1-eta)^k) |n-k>, the exact solution
+      of the linearized jump sqrt(theta^2/tau_c) a over tau_c (Chuang,
+      Leung & Yamamoto, PRA 56, 1114 (1997)).
+    """
+    n = np.arange(cutoff.bdim)
+    if mode == "exact":
+        return [(0, np.cos(theta * np.sqrt(n))), (1, np.sin(theta * np.sqrt(n)))]
+    if theta == 0:
+        return [(0, np.ones(cutoff.bdim))]
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
+    log_loss = np.log(-np.expm1(-theta**2))
+    kraus = []
+    for k in range(cutoff.bdim):
+        m = n[k:]
+        w = np.zeros(cutoff.bdim)
+        w[k:] = np.exp(0.5 * (log_fact[m] - log_fact[m - k] - log_fact[k]
+                              - (m - k) * theta**2 + k * log_loss))
+        kraus.append((k, w))
+    return kraus
+
+
+def apply_kraus(kraus, rho_m):
+    """sum_k A_k rho_m A_k^dag for operators in pulse_kraus form."""
+    b = rho_m.shape[0]
+    out = np.zeros_like(rho_m)
+    for k, w in kraus:
+        wk = w[k:]
+        out[:b - k, :b - k] += wk[:, None] * rho_m[k:, k:] * wk[None, :]
+    return out
+
+
 def spin_reset(rho):
     """Optical pumping to |down>: rho -> |down><down| (x) Tr_spin(rho)."""
-    b = rho.shape[0] // 2
-    rho_m = trace_out_spin(rho)
-    out = np.zeros_like(rho)
-    out[:b, :b] = rho_m
-    return out
+    return embed_down(trace_out_spin(rho))
 
 
 def p_up(rho):
@@ -269,8 +312,8 @@ def p_up(rho):
     return float(np.real(np.trace(rho[b:, b:])))
 
 
-def recoil_kick(rho, pup, noise, kick_duration=1.0):
-    """Incoherent heating pulse from pump-photon recoil.
+def recoil_kick(rho_m, pup, noise, kick_duration=1.0):
+    """Incoherent heating pulse from pump-photon recoil on the boson state.
 
     Raises the mean phonon number by dn = recoil_dn * (N_p * p_up)^2 using a
     balanced diffusion pair {sqrt(mu) a^dag, sqrt(mu) a}, whose generator
@@ -279,100 +322,77 @@ def recoil_kick(rho, pup, noise, kick_duration=1.0):
     if not 0 <= pup <= 1 + 1e-9:
         raise ValueError("p_up must lie in [0, 1]")
     if not noise.recoil_enabled:
-        return rho
+        return rho_m
     dn = noise.recoil_dn * (noise.photons_per_pump * pup) ** 2
     if dn == 0:
-        return rho
-    cutoff = FockCutoff(rho.shape[0] // 2 - 1)
-    a, adag, _ = build_boson_ops(cutoff)
+        return rho_m
+    a, adag, _ = build_boson_ops(FockCutoff(rho_m.shape[0] - 1))
     mu = dn / kick_duration
-    jumps = [np.sqrt(mu) * tensor(np.eye(2), adag),
-             np.sqrt(mu) * tensor(np.eye(2), a)]
-    return lindblad_step(rho, None, jumps, kick_duration)
+    return lindblad_step(rho_m, None, [np.sqrt(mu) * adag, np.sqrt(mu) * a],
+                         kick_duration)
 
 
 class CoolingChannel:
-    """Precompiled dissipation stage of one cycle.
+    """Precompiled dissipation stage of one cycle, a map on the boson state.
 
-    Sequence: spin reset -> convert to the cooling frame at t_wall ->
-    red-sideband pulse for tau_c (unitary, or Lindblad when the channel is
-    linearized and/or noise dissipators are on) -> convert back at
-    t_wall + tau_c -> record the spin-up population -> spin reset ->
-    optional recoil kick -> idle evolution under -dH0 for tau_d - tau_c.
+    Sequence: red-sideband pulse for tau_c on |down> (x) rho_m -> record the
+    spin-up population -> pump the spin back to |down> -> optional recoil
+    kick -> noise for the remaining tau_d - tau_c -> free evolution
+    exp(-i omega_f n tau_d).  Without noise the pulse is the closed-form
+    Kraus map of pulse_kraus.  With noise the exact pulse runs on the
+    composite space under SplitStepPropagator and the linearized pulse
+    integrates its jump together with the noise by lindblad_step.
+
+    The stage needs no wall clock: the free evolution and every noise term
+    are covariant under exp(-i phi n), so the interaction-frame phases of
+    the drive and cooling pictures cancel once the spin is pumped.
     """
 
     def __init__(self, cool, derived, cutoff, noise=None, mode="exact"):
         if mode not in ("exact", "lindblad"):
             raise ValueError(f"unknown channel mode {mode!r}")
-        self.cool = cool
         self.noise = noise if noise is not None else NoiseParams()
-        self.mode = mode
-        self.frame_diag = frame_shift_diagonal(derived, cutoff)
         noise_jumps = make_noise_jumps(self.noise, cutoff)
+        theta = 0.5 * cool.omega_c * cool.tau_c
 
-        a, _, _ = build_boson_ops(cutoff)
-        if mode == "exact":
-            # omega_c = 0 degrades gracefully to a pulse-free stage so that
-            # pure frame-bookkeeping runs stay expressible.
+        if not noise_jumps:
+            kraus = pulse_kraus(mode, theta, cutoff)
+            # the exact pulse's second operator flips |down, n> to |up, n-1>
+            up = kraus[1][1] ** 2 if mode == "exact" else np.zeros(cutoff.bdim)
+            self._pulse = lambda rho_m: (apply_kraus(kraus, rho_m),
+                                         float(up @ np.real(np.diag(rho_m))))
+        elif mode == "exact":
+            # omega_c = 0 degrades gracefully to a pulse-free stage.
             H_c = (h_red_sideband(cool.omega_c, cutoff)
                    if cool.omega_c > 0 else None)
-            if noise_jumps or H_c is None:
-                self._pulse = SplitStepPropagator(H_c, noise_jumps, cool.tau_c).apply
-            else:
-                U = unitary_propagator(H_c, cool.tau_c)
-                Ud = U.conj().T
-                self._pulse = lambda rho: U @ rho @ Ud
+            prop = SplitStepPropagator(H_c, lift(noise_jumps), cool.tau_c)
+
+            def pulse(rho_m):
+                rho = prop.apply(embed_down(rho_m))
+                return trace_out_spin(rho), p_up(rho)
+
+            self._pulse = pulse
         else:
-            pulse_jumps = list(noise_jumps)
+            a, _, _ = build_boson_ops(cutoff)
+            jumps = list(noise_jumps)
             if cool.omega_c > 0:
-                pulse_jumps.insert(
-                    0, 0.5 * cool.omega_c * np.sqrt(cool.tau_c) * tensor(np.eye(2), a))
-            self._pulse = self._make_lindblad_pulse(None, pulse_jumps, cool.tau_c)
+                jumps.insert(0, 0.5 * cool.omega_c * np.sqrt(cool.tau_c) * a)
+            self._pulse = lambda rho_m: (
+                lindblad_step(rho_m, None, jumps, cool.tau_c), 0.0)
 
-        # Free lab evolution under H0' appears in the drive picture as
-        # Hamiltonian evolution under +dH0 (consistent with the conversion
-        # V(t) = exp(+i dH0 t): a zero-amplitude pulse sandwiched between the
-        # two conversions reduces to exactly this phase).
-        t_idle = cool.tau_d - cool.tau_c
-        if noise_jumps:
-            H_idle = np.diag(self.frame_diag).astype(complex)
-            self._idle = SplitStepPropagator(H_idle, noise_jumps, t_idle).apply
-        else:
-            phases = np.exp(-1j * self.frame_diag * t_idle)
-            self._idle = lambda rho: phases[:, None] * rho * phases.conj()[None, :]
+        self._idle = (SplitStepPropagator(None, noise_jumps,
+                                          cool.tau_d - cool.tau_c).apply
+                      if noise_jumps else None)
+        # H0 on the spin-down manifold; its constant -omega_a/2 cancels in rho_m
+        h0_down = frame_shift_diagonal(derived, cutoff)[:cutoff.bdim]
+        self._phase = np.exp(-1j * h0_down * cool.tau_d)
 
-    @staticmethod
-    def _make_lindblad_pulse(H, jumps, tau_c):
-        dt = default_dt_max(H) if H is not None else DT_CAP_US
-        return lambda rho: lindblad_step(rho, H, jumps, tau_c, dt)
-
-    def apply(self, rho, t_wall):
-        """Apply the channel; returns (state, spin-up population before pump)."""
-        d = self.frame_diag
-        rho = spin_reset(rho)
-        v = np.exp(1j * d * t_wall)
-        rho = v[:, None] * rho * v.conj()[None, :]
-        rho = self._pulse(rho)
-        v = np.exp(-1j * d * (t_wall + self.cool.tau_c))
-        rho = v[:, None] * rho * v.conj()[None, :]
-        pup = p_up(rho)
-        rho = spin_reset(rho)
+    def apply(self, rho_m):
+        """Apply the stage; returns (state, spin-up population before pump)."""
+        rho_m, pup = self._pulse(rho_m)
         if self.noise.recoil_enabled:
-            rho = recoil_kick(rho, pup, self.noise)
-        rho = self._idle(rho)
-        return rho, pup
-
-
-def cooling_channel_exact(rho, cool, derived, t_wall, noise=None):
-    """One exact sideband-cooling stage; returns (state, p_up before pump)."""
-    cutoff = FockCutoff(rho.shape[0] // 2 - 1)
-    ch = CoolingChannel(cool, derived, cutoff, noise=noise, mode="exact")
-    return ch.apply(rho, t_wall)
-
-
-def cooling_channel_lindblad(rho, cool, derived, t_wall, noise=None):
-    """One linearized (phonon-damping) cooling stage."""
-    cutoff = FockCutoff(rho.shape[0] // 2 - 1)
-    ch = CoolingChannel(cool, derived, cutoff, noise=noise, mode="lindblad")
-    out, _ = ch.apply(rho, t_wall)
-    return out
+            rho_m = recoil_kick(rho_m, pup, self.noise)
+        if self._idle is not None:
+            rho_m = self._idle(rho_m)
+        p = self._phase
+        return p[:, None] * rho_m * p.conj()[None, :], pup

@@ -182,19 +182,14 @@ def cmd_fit(args):
     if not os.path.isfile(args.data):
         raise CliError(f"data file not found: {args.data}", EXIT_CONFIG)
     try:
-        if args.model == "saturation":
-            header, data = _read_xy_csv(args.data)
-            fit = analysis.fit_exponential_saturation((data[:, 0], data[:, 1]))
-            report = {"model": fit.model, "params": fit.params,
-                      "errors": fit.errors, "residual_rms": fit.residual_rms}
-        elif args.model == "loglog":
-            header, data = _read_xy_csv(args.data)
-            fit = analysis.fit_loglog_slope(data)
-            report = {"model": fit.model, "params": fit.params,
-                      "errors": fit.errors, "residual_rms": fit.residual_rms}
-        elif args.model == "power_law_critical":
-            header, data = _read_xy_csv(args.data)
-            fit = analysis.fit_critical_power_law(data)
+        if args.model in ("saturation", "loglog", "power_law_critical"):
+            _, data = _read_xy_csv(args.data)
+            if args.model == "saturation":
+                fit = analysis.fit_exponential_saturation((data[:, 0], data[:, 1]))
+            elif args.model == "loglog":
+                fit = analysis.fit_loglog_slope(data)
+            else:
+                fit = analysis.fit_critical_power_law(data)
             report = {"model": fit.model, "params": fit.params,
                       "errors": fit.errors, "residual_rms": fit.residual_rms}
         else:  # populations
@@ -218,7 +213,7 @@ def cmd_fit(args):
                                  "p": [float(v) for v in fit.p]},
                       "errors": {"nbar": sigma},
                       "residual_rms": fit.residual_rms}
-    except (analysis.FitError, probe.FitError) as exc:
+    except probe.FitError as exc:
         raise CliError(f"fit failed: {exc}", EXIT_FIT) from exc
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc

@@ -69,10 +69,6 @@ def tensor(spin_part, boson_part):
     return np.kron(spin_part, boson_part)
 
 
-def identity(cutoff):
-    return np.eye(cutoff.dim, dtype=complex)
-
-
 def number_full(cutoff):
     """a^dag a on the composite space."""
     _, _, num = build_boson_ops(cutoff)
@@ -110,6 +106,14 @@ def trace_out_spin(rho):
     return rho[:b, :b] + rho[b:, b:]
 
 
+def embed_down(rho_m):
+    """|down><down| (x) rho_m on the composite space."""
+    b = rho_m.shape[0]
+    rho = np.zeros((2 * b, 2 * b), dtype=complex)
+    rho[:b, :b] = rho_m
+    return rho
+
+
 def thermal_state(nbar, cutoff, eps=1e-6):
     """Truncated thermal boson state with mean occupation nbar."""
     if nbar < 0:
@@ -130,16 +134,9 @@ def thermal_state(nbar, cutoff, eps=1e-6):
     return np.diag(p).astype(complex)
 
 
-def tail_mass(rho, k):
-    """Total population in Fock indices >= k, summed over both spin states."""
-    pops = np.real(np.diag(rho)).reshape(2, -1)
-    return float(pops[:, k:].sum())
-
-
-def tail_mass_boson(rho_m, k):
-    """tail_mass for a boson-only density matrix."""
-    pops = np.real(np.diag(rho_m))
-    return float(pops[k:].sum())
+def tail_mass(rho_m, k):
+    """Population of a boson density matrix in Fock indices >= k."""
+    return float(np.real(np.diag(rho_m))[k:].sum())
 
 
 def check_density_matrix(rho):

@@ -1,4 +1,4 @@
-"""Parameter derivation, Hamiltonian builders and interaction-frame handling.
+"""Parameter derivation and Hamiltonian builders.
 
 Internal units are microseconds and rad/us throughout.  Configuration files
 quote ordinary frequencies in kHz and rates in 1/s; the converters below are
@@ -132,38 +132,9 @@ def h_blue_sideband(omega_probe, cutoff):
 
 
 def frame_shift_diagonal(derived, cutoff):
-    """Diagonal of the generator separating the drive and cooling frames."""
+    """Diagonal of the decoupled Rabi Hamiltonian (omega_a/2) sz + omega_f n,
+    the free evolution between drive stages."""
     n = np.arange(cutoff.bdim)
     down = -0.5 * derived.omega_a + derived.omega_f * n
     up = +0.5 * derived.omega_a + derived.omega_f * n
     return np.concatenate([down, up])
-
-
-def frame_shift_generator(derived, cutoff):
-    return np.diag(frame_shift_diagonal(derived, cutoff)).astype(complex)
-
-
-TO_COOLING_FRAME = "to_cooling_frame"
-TO_DRIVE_FRAME = "to_drive_frame"
-
-
-def frame_convert(rho, t_wall, derived, direction, cutoff=None):
-    """Switch the state between the drive and the cooling interaction pictures.
-
-    The state is canonically held in the drive picture; converting to the
-    cooling picture conjugates with V = exp(+i dH0 t_wall), where t_wall is
-    the laboratory time accumulated since cycle 0.
-    """
-    if t_wall < 0:
-        raise ValueError("t_wall must be >= 0")
-    if cutoff is None:
-        from .fockspace import FockCutoff
-        cutoff = FockCutoff(rho.shape[0] // 2 - 1)
-    d = frame_shift_diagonal(derived, cutoff)
-    if direction == TO_COOLING_FRAME:
-        phases = np.exp(1j * d * t_wall)
-    elif direction == TO_DRIVE_FRAME:
-        phases = np.exp(-1j * d * t_wall)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return phases[:, None] * rho * phases.conj()[None, :]

@@ -23,7 +23,7 @@ DECAY_MODELS = {
 
 
 class FitError(RuntimeError):
-    """Population fit failed to converge or was ill-posed."""
+    """A population, scan or trajectory fit failed or was ill-posed."""
 
 
 @dataclass

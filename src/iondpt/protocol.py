@@ -1,5 +1,10 @@
-"""Stroboscopic experiment engine: drive -> dissipate cycles, frame and
-wall-clock bookkeeping, convergence detection, adaptive cutoff escalation."""
+"""Stroboscopic experiment engine: drive -> dissipate cycles on the boson
+state, convergence detection, adaptive cutoff escalation.
+
+Every cycle ends with the spin optically pumped to |down>, so one cycle is a
+fixed CPTP map on the boson density matrix rho_m, which is the state carried
+from cycle to cycle.
+"""
 
 import numpy as np
 from dataclasses import dataclass, field, replace
@@ -8,7 +13,7 @@ from . import fockspace as fs
 from .fockspace import FockCutoff
 from .model import DriveParams, CoolParams, derive, h_qrm
 from .channels import (NoiseParams, CoolingChannel, SplitStepPropagator,
-                       make_noise_jumps, unitary_propagator)
+                       lift, make_noise_jumps, unitary_propagator)
 
 
 class SimulationDiverged(RuntimeError):
@@ -76,7 +81,6 @@ class ExperimentConfig:
     cutoff: CutoffPolicy = field(default_factory=CutoffPolicy)
     jitter_sigma: float = 0.0      # per-run Gaussian sigma on delta_b, delta_r (rad/us)
     seed: int = 0
-    frame_reset_per_cycle: bool = False
     debug_validate: bool = False
 
     def __post_init__(self):
@@ -91,9 +95,9 @@ class Trajectory:
     cycle: np.ndarray       # 1..cycles_run
     nbar: np.ndarray        # <a^dag a> after each cycle
     p_up: np.ndarray        # spin-up population before the second pump
-    t_us: np.ndarray        # wall-clock time at the end of each cycle
+    t_us: np.ndarray        # cycle * (tau + tau_d): time at the end of each cycle
     n_max_used: np.ndarray
-    final_state: np.ndarray
+    final_state: np.ndarray  # |down><down| (x) rho_m
     converged: bool
     cycles_run: int
 
@@ -104,16 +108,12 @@ class Trajectory:
 
 
 def prepare_initial(config, cutoff):
-    """|down><down| (x) (thermal or ground) on the composite space."""
+    """Initial boson state (thermal or ground); the spin starts in |down>."""
     if config.initial.kind == "ground":
         rho_m = np.zeros((cutoff.bdim, cutoff.bdim), dtype=complex)
         rho_m[0, 0] = 1.0
-    else:
-        rho_m = fs.thermal_state(config.initial.nbar, cutoff,
-                                 eps=config.cutoff.eps)
-    rho = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
-    rho[:cutoff.bdim, :cutoff.bdim] = rho_m
-    return rho
+        return rho_m
+    return fs.thermal_state(config.initial.nbar, cutoff, eps=config.cutoff.eps)
 
 
 def _jittered_drive(config):
@@ -127,31 +127,34 @@ def _jittered_drive(config):
 
 
 class _CyclePlan:
-    """Per-run cache of segment propagators at a fixed cutoff."""
+    """Per-run cache of the cycle's stage maps on rho_m at a fixed cutoff."""
 
     def __init__(self, config, drive, cutoff):
         derived = derive(drive)
-        self.derived = derived
-        self.number = fs.number_full(cutoff)
-        self.tau = drive.tau
-        self.tau_d = config.cool.tau_d
+        b = cutoff.bdim
+        self.number = np.diag(np.arange(b)).astype(complex)
         H = h_qrm(derived, cutoff)
         noise_jumps = make_noise_jumps(config.noise, cutoff)
         if noise_jumps:
-            self._drive = SplitStepPropagator(H, noise_jumps, drive.tau).apply
+            prop = SplitStepPropagator(H, lift(noise_jumps), drive.tau)
+            self.drive = lambda rho_m: fs.trace_out_spin(
+                prop.apply(fs.embed_down(rho_m)))
         else:
+            # rho_m -> U_dd rho_m U_dd^dag + U_ud rho_m U_ud^dag from the
+            # spin-down columns of exp(-i H tau).
             U = unitary_propagator(H, drive.tau)
-            Ud = U.conj().T
-            self._drive = lambda rho: U @ rho @ Ud
+            cols = U[:, :b]
+            down_h = cols[:b].conj().T
+            up_h = cols[b:].conj().T
+
+            def drive_map(rho_m):
+                w = cols @ rho_m
+                return w[:b] @ down_h + w[b:] @ up_h
+
+            self.drive = drive_map
         self.cooling = CoolingChannel(config.cool, derived, cutoff,
                                       noise=config.noise,
                                       mode=config.channel_mode)
-
-    def run_cycle(self, rho, t_wall, frame_reset):
-        rho = self._drive(rho)
-        t_frame = self.tau if frame_reset else t_wall + self.tau
-        rho, pup = self.cooling.apply(rho, t_frame)
-        return rho, pup, t_wall + self.tau + self.tau_d
 
 
 def _run_at_cutoff(config, drive, cutoff, n_cycles, stop_on_tolerance):
@@ -166,20 +169,16 @@ def _run_at_cutoff(config, drive, cutoff, n_cycles, stop_on_tolerance):
 
     nbar = np.empty(n_cycles)
     pups = np.empty(n_cycles)
-    times = np.empty(n_cycles)
-    t_wall = 0.0
     converged = False
     ran = n_cycles
     conv = config.convergence
     for i in range(n_cycles):
-        rho, pup, t_wall = plan.run_cycle(rho, t_wall, config.frame_reset_per_cycle)
+        rho, pups[i] = plan.cooling.apply(plan.drive(rho))
         if fs.tail_mass(rho, k_check) > config.cutoff.eps:
             raise _CutoffOverflow
         if config.debug_validate:
             fs.check_density_matrix(rho)
         nbar[i] = fs.expectation(rho, plan.number)
-        pups[i] = pup
-        times[i] = t_wall
         if stop_on_tolerance and i + 1 >= conv.window:
             tail = nbar[i + 1 - conv.window:i + 1]
             if tail.max() - tail.min() < conv.tol:
@@ -188,10 +187,12 @@ def _run_at_cutoff(config, drive, cutoff, n_cycles, stop_on_tolerance):
                 break
 
     n = ran
-    return Trajectory(cycle=np.arange(1, n + 1), nbar=nbar[:n], p_up=pups[:n],
-                      t_us=times[:n],
+    cycle = np.arange(1, n + 1)
+    return Trajectory(cycle=cycle, nbar=nbar[:n], p_up=pups[:n],
+                      t_us=cycle * (drive.tau + config.cool.tau_d),
                       n_max_used=np.full(n, cutoff.n_max, dtype=int),
-                      final_state=rho, converged=converged, cycles_run=n)
+                      final_state=fs.embed_down(rho), converged=converged,
+                      cycles_run=n)
 
 
 def _run(config, n_cycles, stop_on_tolerance):

@@ -12,10 +12,10 @@ import pytest
 from dataclasses import replace
 
 from iondpt import fockspace as fs
-from iondpt.model import DriveParams, CoolParams, derive, khz
+from iondpt.model import DriveParams, CoolParams, khz
 from iondpt.channels import NoiseParams, make_noise_jumps, lindblad_step
 from iondpt.protocol import (ExperimentConfig, InitialState, Convergence,
-                             run_cycles, run_to_convergence)
+                             CutoffPolicy, run_cycles, run_to_convergence)
 from iondpt.probe import measure_nbar
 from iondpt.analysis import (FitError, g_scan, r_scan, cooling_scan,
                              extrapolate_saturation, fit_exponential_saturation,
@@ -215,7 +215,7 @@ def test_criterion_11_probe_pipeline(relaxation_runs):
                    f"sigma(shots) slope {slope:.3f} (expected -0.5+-0.2)")
 
 
-def test_criterion_12_property_suite():
+def test_criterion_12_property_suite(composite_reference):
     checks = []
 
     # density-matrix validity after every channel of a noisy run
@@ -245,17 +245,24 @@ def test_criterion_12_property_suite():
                    bool(np.isclose(abs(coh), 0.5 * np.exp(-0.2 * 2.0),
                                    rtol=1e-4))))
 
-    # frame round trip
-    from iondpt.model import frame_convert, TO_COOLING_FRAME, TO_DRIVE_FRAME
-    der = derive(DRIVE_R25)
-    cut = fs.FockCutoff(6)
-    rng = np.random.default_rng(0)
-    m = rng.normal(size=(cut.dim, cut.dim)) + 1j * rng.normal(size=(cut.dim, cut.dim))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho).real
-    back = frame_convert(frame_convert(rho, 77.0, der, TO_COOLING_FRAME, cut),
-                         77.0, der, TO_DRIVE_FRAME, cut)
-    checks.append(("frame round trip", bool(np.abs(back - rho).max() < 1e-12)))
+    # wall-clock origin invariance of the boson-state cycle: exact given
+    # perfect optical pumping and phase-covariant noise
+    origin_ok = True
+    for mode in ("exact", "lindblad"):
+        for noise in (NoiseParams(), NoiseParams(heating_rate=1e-3,
+                                                 dephasing_rate=1e-3,
+                                                 recoil_enabled=True)):
+            cfg = ExperimentConfig(
+                drive=DRIVE_R25, cool=COOL_13, noise=noise,
+                initial=InitialState(kind="thermal", nbar=1.0),
+                channel_mode=mode, max_cycles=4,
+                cutoff=CutoffPolicy(n_max=24))
+            traj = run_cycles(cfg)
+            cut = fs.FockCutoff(int(traj.n_max_used[-1]))
+            for t0 in (0.0, 77.0):
+                ref = composite_reference(cfg, cut, 4, t0)
+                origin_ok &= bool(np.abs(ref - traj.nbar).max() <= 1e-12)
+    checks.append(("wall-clock origin invariance", origin_ok))
 
     # zero-drive zero-cooling invariance
     quiet = ExperimentConfig(

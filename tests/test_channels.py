@@ -6,16 +6,48 @@ from iondpt.fockspace import FockCutoff
 from iondpt.model import DriveParams, CoolParams, derive, khz, h_red_sideband, h_qrm
 from iondpt import channels as ch
 from iondpt.channels import (NoiseParams, SplitStepPropagator, IntegrationError,
-                             make_noise_jumps, lindblad_step, unitary_step,
-                             spin_reset, p_up, recoil_kick,
-                             cooling_channel_exact, cooling_channel_lindblad)
+                             CoolingChannel, make_noise_jumps, lift,
+                             lindblad_step, unitary_step, pulse_kraus,
+                             apply_kraus, spin_reset, p_up, recoil_kick)
 
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
 DERIVED = derive(DriveParams.from_khz(26.0, 24.0, 9.0, 20.0))
+THETA = 0.5 * COOL.omega_c * COOL.tau_c
 
 
 def boson_ops(n_max):
     return fs.build_boson_ops(FockCutoff(n_max))
+
+
+def fock(n_max, n):
+    """Boson projector |n><n|."""
+    rho = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    rho[n, n] = 1.0
+    return rho
+
+
+def number(rho_m):
+    return fs.expectation(rho_m, np.diag(np.arange(rho_m.shape[0])))
+
+
+def cool_exact(rho_m, cool=COOL, noise=None):
+    """One exact cooling stage; returns (state, p_up before the pump)."""
+    cut = FockCutoff(rho_m.shape[0] - 1)
+    return CoolingChannel(cool, DERIVED, cut, noise=noise, mode="exact").apply(rho_m)
+
+
+def cool_lindblad(rho_m, noise=None):
+    """One linearized cooling stage."""
+    cut = FockCutoff(rho_m.shape[0] - 1)
+    return CoolingChannel(COOL, DERIVED, cut, noise=noise,
+                          mode="lindblad").apply(rho_m)[0]
+
+
+def random_state(n_max, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n_max + 1,) * 2) + 1j * rng.normal(size=(n_max + 1,) * 2)
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
 
 
 def test_noise_params_validation_and_units():
@@ -122,10 +154,10 @@ def test_heating_rate_from_vacuum():
     rate = 5e-3  # exaggerated for a measurable slope
     noise = NoiseParams(heating_rate=rate)
     jumps = make_noise_jumps(noise, cut)
-    rho = fs.projector(cut, 0, 0)
+    rho = fock(cut.n_max, 0)
     t = 1.0
     out = lindblad_step(rho, None, jumps, t)
-    n_t = fs.expectation(out, fs.number_full(cut))
+    n_t = number(out)
     assert n_t == pytest.approx(rate * t, rel=1e-3)
 
 
@@ -133,7 +165,7 @@ def test_dephasing_fixes_diagonal_states():
     cut = FockCutoff(6)
     noise = NoiseParams(dephasing_rate=0.1)
     jumps = make_noise_jumps(noise, cut)
-    rho = 0.3 * fs.projector(cut, 0, 0) + 0.7 * fs.projector(cut, 0, 3)
+    rho = 0.3 * fock(cut.n_max, 0) + 0.7 * fock(cut.n_max, 3)
     out = lindblad_step(rho, None, jumps, 2.0)
     assert np.abs(out - rho).max() < 1e-10
 
@@ -157,11 +189,10 @@ def test_p_up():
 
 
 def test_recoil_kick():
-    cut = FockCutoff(10)
-    vac = fs.projector(cut, 0, 0)
+    vac = fock(10, 0)
     noise = NoiseParams(recoil_enabled=True, recoil_dn=0.01, photons_per_pump=3)
     out = recoil_kick(vac, 1.0, noise)
-    n_t = fs.expectation(out, fs.number_full(cut))
+    n_t = number(out)
     assert n_t == pytest.approx(0.09, abs=1e-5)
     assert np.allclose(recoil_kick(vac, 0.0, noise), vac)
     disabled = NoiseParams(recoil_dn=0.01)
@@ -171,21 +202,19 @@ def test_recoil_kick():
 
 
 def test_cooling_exact_single_phonon():
-    cut = FockCutoff(8)
-    rho = fs.projector(cut, 0, 1)
-    out, pup = cooling_channel_exact(rho, COOL, DERIVED, 0.0)
+    rho = fock(8, 1)
+    out, pup = cool_exact(rho)
     # loss probability sin^2(0.5 sqrt(1) Omega_c tau_c) = sin^2(0.31416)
     expected = np.sin(0.5 * COOL.omega_c * COOL.tau_c) ** 2
     assert expected == pytest.approx(0.0955, abs=2e-4)
     assert pup == pytest.approx(expected, abs=1e-10)
-    n_after = fs.expectation(out, fs.number_full(cut))
+    n_after = number(out)
     assert n_after == pytest.approx(1.0 - expected, abs=1e-10)
 
 
 def test_cooling_exact_high_n_sublinear():
-    cut = FockCutoff(10)
-    rho = fs.projector(cut, 0, 4)
-    out, pup = cooling_channel_exact(rho, COOL, DERIVED, 0.0)
+    rho = fock(10, 4)
+    out, pup = cool_exact(rho)
     expected = np.sin(0.5 * 2.0 * COOL.omega_c * COOL.tau_c) ** 2
     assert expected == pytest.approx(0.345, abs=5e-4)
     assert pup == pytest.approx(expected, abs=1e-10)
@@ -194,20 +223,18 @@ def test_cooling_exact_high_n_sublinear():
 
 
 def test_cooling_vacuum_fixed_point():
-    cut = FockCutoff(6)
-    vac = fs.projector(cut, 0, 0)
-    out, pup = cooling_channel_exact(vac, COOL, DERIVED, 123.4)
+    vac = fock(6, 0)
+    out, pup = cool_exact(vac)
     assert np.abs(out - vac).max() < 1e-12
     assert pup == pytest.approx(0.0, abs=1e-14)
-    out_l = cooling_channel_lindblad(vac, COOL, DERIVED, 123.4)
+    out_l = cool_lindblad(vac)
     assert np.abs(out_l - vac).max() < 1e-9
 
 
 def test_cooling_lindblad_survival():
-    cut = FockCutoff(8)
-    rho = fs.projector(cut, 0, 1)
-    out = cooling_channel_lindblad(rho, COOL, DERIVED, 0.0)
-    n_after = fs.expectation(out, fs.number_full(cut))
+    rho = fock(8, 1)
+    out = cool_lindblad(rho)
+    n_after = number(out)
     survival = np.exp(-(0.5 * COOL.omega_c * COOL.tau_c) ** 2)
     assert survival == pytest.approx(0.906, abs=5e-4)
     assert n_after == pytest.approx(survival, rel=1e-4)
@@ -216,28 +243,21 @@ def test_cooling_lindblad_survival():
 def test_channel_equivalence_single_application():
     # diagonal states with <n> < 10: one channel application agrees < 5%
     cut = FockCutoff(80)
-    num = fs.number_full(cut)
     for nbar in (1.0, 3.0, 5.0, 9.0):
-        rho = np.zeros((cut.dim, cut.dim), dtype=complex)
-        rho[:cut.bdim, :cut.bdim] = fs.thermal_state(nbar, cut, eps=1e-3)
-        out_e, _ = cooling_channel_exact(rho, COOL, DERIVED, 0.0)
-        out_l = cooling_channel_lindblad(rho, COOL, DERIVED, 0.0)
-        n_e = fs.expectation(out_e, num)
-        n_l = fs.expectation(out_l, num)
+        rho = fs.thermal_state(nbar, cut, eps=1e-3)
+        out_e, _ = cool_exact(rho)
+        out_l = cool_lindblad(rho)
+        n_e = number(out_e)
+        n_l = number(out_l)
         assert abs(n_e - n_l) / n_e < 0.05
 
 
 def test_repeated_cooling_monotone_to_vacuum():
-    cut = FockCutoff(40)
-    num = fs.number_full(cut)
-    rho = np.zeros((cut.dim, cut.dim), dtype=complex)
-    rho[:cut.bdim, :cut.bdim] = fs.thermal_state(2.0, cut)
-    last = fs.expectation(rho, num)
-    t_wall = 0.0
+    rho = fs.thermal_state(2.0, FockCutoff(40))
+    last = number(rho)
     for _ in range(15):
-        rho, _ = cooling_channel_exact(rho, COOL, DERIVED, t_wall)
-        t_wall += COOL.tau_d
-        n_now = fs.expectation(rho, num)
+        rho, _ = cool_exact(rho)
+        n_now = number(rho)
         assert n_now <= last + 1e-12
         last = n_now
     assert last < 0.5
@@ -247,22 +267,71 @@ def test_channels_preserve_density_matrix_validity():
     cut = FockCutoff(30)
     noise = NoiseParams.from_per_second(heating_per_s=50.0, dephasing_per_s=200.0,
                                         recoil_enabled=True)
-    rho = np.zeros((cut.dim, cut.dim), dtype=complex)
-    rho[:cut.bdim, :cut.bdim] = fs.thermal_state(2.0, cut, eps=1e-4)
-    out_e, pup = cooling_channel_exact(rho, COOL, DERIVED, 7.0, noise=noise)
+    rho = fs.thermal_state(2.0, cut, eps=1e-4)
+    out_e, pup = cool_exact(rho, noise=noise)
     fs.check_density_matrix(out_e)
-    out_l = cooling_channel_lindblad(rho, COOL, DERIVED, 7.0, noise=noise)
+    out_l = cool_lindblad(rho, noise=noise)
     fs.check_density_matrix(out_l)
     assert 0.0 <= pup <= 1.0
+
+
+@pytest.mark.parametrize("mode", ["exact", "lindblad"])
+@pytest.mark.parametrize("theta", [THETA, 1.3])
+def test_pulse_kraus_complete(mode, theta):
+    cut = FockCutoff(40)
+    total = np.zeros((cut.bdim, cut.bdim))
+    for k, w in pulse_kraus(mode, theta, cut):
+        A = np.diag(w[k:], k)   # A|n> = w[n] |n-k>
+        total += A.T @ A
+    assert np.abs(total - np.eye(cut.bdim)).max() < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["exact", "lindblad"])
+def test_noise_free_cooling_stage_trace_and_positivity(mode):
+    rho = random_state(25, seed=5)
+    ch = CoolingChannel(COOL, DERIVED, FockCutoff(25), mode=mode)
+    out, pup = ch.apply(rho)
+    assert abs(np.trace(out) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(out)[0] > -1e-12
+    assert 0.0 <= pup <= 1.0
+    pulse = apply_kraus(pulse_kraus(mode, THETA, FockCutoff(25)), rho)
+    assert abs(np.trace(pulse) - 1.0) < 1e-12
+    # the free evolution is a pure phase: the stage differs from the pulse
+    # only in its coherences
+    assert np.abs(np.diag(out) - np.diag(pulse)).max() < 1e-15
+
+
+def test_exact_pulse_matches_sideband_rotation():
+    cut = FockCutoff(12)
+    rho = random_state(cut.n_max, seed=2)
+    rotated = unitary_step(fs.embed_down(rho), h_red_sideband(COOL.omega_c, cut),
+                           COOL.tau_c)
+    out = apply_kraus(pulse_kraus("exact", THETA, cut), rho)
+    assert np.abs(out - fs.trace_out_spin(rotated)).max() < 1e-12
+    assert p_up(rotated) == pytest.approx(
+        float(np.sin(THETA * np.sqrt(np.arange(cut.bdim))) ** 2
+              @ np.real(np.diag(rho))), abs=1e-12)
+
+
+def test_amplitude_damping_matches_lindblad_step():
+    # oracle for the linearized pulse: the jump sqrt(theta^2/tau_c) a over tau_c
+    cut = FockCutoff(30)
+    a, _, _ = fs.build_boson_ops(cut)
+    rho = 0.5 * random_state(cut.n_max, seed=7) + 0.5 * fs.thermal_state(
+        3.0, cut, eps=1e-3)
+    # RK4 at the default 0.1 us step is itself off by 4.5e-10 here
+    ref = lindblad_step(rho, None, [np.sqrt(THETA**2 / COOL.tau_c) * a],
+                        COOL.tau_c, dt_max=0.01)
+    out = apply_kraus(pulse_kraus("lindblad", THETA, cut), rho)
+    assert np.abs(out - ref).max() < 1e-9
 
 
 def test_split_step_matches_lindblad_step():
     cut = FockCutoff(12)
     H = h_qrm(DERIVED, cut)
     noise = NoiseParams(heating_rate=5e-3, dephasing_rate=2e-2)
-    jumps = make_noise_jumps(noise, cut)
-    rho = np.zeros((cut.dim, cut.dim), dtype=complex)
-    rho[:cut.bdim, :cut.bdim] = fs.thermal_state(1.5, cut, eps=5e-3)
+    jumps = lift(make_noise_jumps(noise, cut))
+    rho = fs.embed_down(fs.thermal_state(1.5, cut, eps=5e-3))
     t = 20.0
     ref = lindblad_step(rho, H, jumps, t)
     out = SplitStepPropagator(H, jumps, t).apply(rho)
@@ -284,9 +353,7 @@ def test_split_step_without_jumps_is_unitary():
 
 def test_zero_amplitude_cooling_pulse_keeps_populations():
     cool0 = CoolParams.from_khz(0.0, 5.0, 13.0)
-    cut = FockCutoff(25)
-    rho = np.zeros((cut.dim, cut.dim), dtype=complex)
-    rho[:cut.bdim, :cut.bdim] = fs.thermal_state(2.0, cut, eps=5e-3)
-    out, pup = cooling_channel_exact(rho, cool0, DERIVED, 5.0)
+    rho = fs.thermal_state(2.0, FockCutoff(25), eps=5e-3)
+    out, pup = cool_exact(rho, cool=cool0)
     assert pup == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(np.diag(out).real, np.diag(rho).real, atol=1e-12)

@@ -102,6 +102,23 @@ def test_scan_g_axis(base_config, tmp_path):
     assert nbar[0] < nbar[-1]
 
 
+def test_scan_probe_seed_sets_shot_noise(base_config, tmp_path):
+    cfg = tmp_path / "scan.yaml"
+    cfg.write_text(BASE_YAML.replace("max: 40", "max: 20")
+                   + "scan:\n  axis: g\n  values: [0.8, 1.2]\n"
+                   + "probe:\n  shots: 1000\n")
+
+    def probe_scan(seed, name):
+        out = tmp_path / name
+        assert main(["scan", "--config", str(cfg), "--probe", "--seed",
+                     str(seed), "--threads", "1", "--out-dir", str(out)]) == 0
+        return (out / "scan_scan.csv").read_bytes()
+
+    first = probe_scan(1, "a")
+    assert probe_scan(1, "b") == first
+    assert probe_scan(2, "c") != first
+
+
 def test_fit_loglog_and_errors(tmp_path):
     data = tmp_path / "pl.csv"
     with open(data, "w", newline="") as fh:

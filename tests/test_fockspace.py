@@ -94,7 +94,7 @@ def test_thermal_state_mean_and_tail():
     rho = fs.thermal_state(5.0, cut)
     num = np.diag(np.arange(cut.bdim)).astype(complex)
     assert fs.expectation(rho, num) == pytest.approx(5.0, abs=1e-4)
-    assert fs.tail_mass_boson(fs.thermal_state(1.0, FockCutoff(40)), 1) == \
+    assert fs.tail_mass(fs.thermal_state(1.0, FockCutoff(40)), 1) == \
         pytest.approx(0.5, abs=1e-10)
     with pytest.raises(ValueError):
         fs.thermal_state(5.0, FockCutoff(10))  # tail exceeds eps
@@ -132,8 +132,9 @@ def test_trace_out_spin_purity_contraction():
 def test_tail_mass_full_space():
     cut = FockCutoff(4)
     rho = 0.5 * fs.projector(cut, 0, 4) + 0.5 * fs.projector(cut, 1, 0)
-    assert fs.tail_mass(rho, 4) == pytest.approx(0.5)
-    assert fs.tail_mass(rho, 0) == pytest.approx(1.0)
+    rho_m = fs.trace_out_spin(rho)
+    assert fs.tail_mass(rho_m, 4) == pytest.approx(0.5)
+    assert fs.tail_mass(rho_m, 0) == pytest.approx(1.0)
 
 
 def test_check_density_matrix():

@@ -6,9 +6,7 @@ from iondpt.fockspace import FockCutoff
 from iondpt import model
 from iondpt.model import (DriveParams, CoolParams, derive, khz, per_second,
                           omega_sb_for_coupling, h_qrm, h_red_sideband,
-                          h_blue_sideband, frame_shift_diagonal,
-                          frame_shift_generator, frame_convert,
-                          TO_COOLING_FRAME, TO_DRIVE_FRAME)
+                          h_blue_sideband, frame_shift_diagonal)
 
 
 def test_unit_conversions():
@@ -110,41 +108,7 @@ def test_frame_shift_matches_decoupled_hamiltonian():
     d = DriveParams.from_khz(51.0, 49.0, 0.0, 20.0)
     der = derive(d)
     cut = FockCutoff(4)
-    assert np.allclose(frame_shift_generator(der, cut), h_qrm(der, cut))
-
-
-def test_frame_convert_round_trip():
-    d = DriveParams.from_khz(51.0, 49.0, 10.0, 20.0)
-    der = derive(d)
-    cut = FockCutoff(6)
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(cut.dim, cut.dim)) + 1j * rng.normal(size=(cut.dim, cut.dim))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho).real
-    t_wall = 137.5
-    there = frame_convert(rho, t_wall, der, TO_COOLING_FRAME, cut)
-    back = frame_convert(there, t_wall, der, TO_DRIVE_FRAME, cut)
-    assert np.max(np.abs(back - rho)) < 1e-12
-
-
-def test_frame_convert_validation():
-    d = DriveParams.from_khz(51.0, 49.0, 10.0, 20.0)
-    der = derive(d)
-    cut = FockCutoff(2)
-    rho = np.eye(cut.dim, dtype=complex) / cut.dim
-    with pytest.raises(ValueError):
-        frame_convert(rho, -1.0, der, TO_COOLING_FRAME, cut)
-    with pytest.raises(ValueError):
-        frame_convert(rho, 1.0, der, "sideways", cut)
-
-
-def test_frame_convert_trivial_at_zero_time():
-    d = DriveParams.from_khz(51.0, 49.0, 10.0, 20.0)
-    der = derive(d)
-    cut = FockCutoff(3)
-    rho = np.eye(cut.dim, dtype=complex) / cut.dim
-    out = frame_convert(rho, 0.0, der, TO_COOLING_FRAME, cut)
-    assert np.allclose(out, rho)
+    assert np.allclose(np.diag(frame_shift_diagonal(der, cut)), h_qrm(der, cut))
 
 
 def test_frame_diagonal_structure():

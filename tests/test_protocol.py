@@ -5,10 +5,12 @@ from dataclasses import replace
 from iondpt.fockspace import FockCutoff
 from iondpt import fockspace as fs
 from iondpt.model import DriveParams, CoolParams, derive
+from iondpt.channels import NoiseParams
 from iondpt.protocol import (ExperimentConfig, InitialState, Convergence,
                              CutoffPolicy, SimulationDiverged, prepare_initial,
                              run, run_cycles, run_to_convergence,
-                             config_with_coupling, config_with_ratio)
+                             config_with_coupling, config_with_ratio,
+                             _CyclePlan)
 
 DRIVE = DriveParams.from_khz(26.0, 24.0, 9.0, 20.0)
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
@@ -36,15 +38,15 @@ def test_config_validation():
 
 def test_prepare_initial():
     cut = FockCutoff(50)
+    num = np.diag(np.arange(cut.bdim))
     ground = prepare_initial(make_config(), cut)
-    assert fs.expectation(ground, fs.number_full(cut)) == pytest.approx(0.0)
+    assert fs.expectation(ground, num) == pytest.approx(0.0)
     assert ground[0, 0].real == pytest.approx(1.0)
     cfg = make_config(initial=InitialState(kind="thermal", nbar=5.0))
     thermal = prepare_initial(cfg, cut)
-    assert fs.expectation(thermal, fs.number_full(cut)) == pytest.approx(5.0, abs=0.02)
-    # spin is pure down
-    b = cut.bdim
-    assert np.trace(thermal[b:, b:]).real == pytest.approx(0.0)
+    assert fs.expectation(thermal, num) == pytest.approx(5.0, abs=0.02)
+    # a boson state: the spin is not carried, it is always down
+    assert thermal.shape == (cut.bdim, cut.bdim)
 
 
 def test_no_drive_stays_in_vacuum():
@@ -163,3 +165,39 @@ def test_trajectory_validity_during_run():
                       initial=InitialState(kind="thermal", nbar=2.0))
     traj = run_cycles(cfg)  # raises StateValidityError on violation
     assert np.all(traj.nbar >= 0)
+
+
+# Exaggerated, phase-covariant noise: heating/cooling pair and dephasing.
+NOISE = NoiseParams(heating_rate=1e-3, dephasing_rate=1e-3, recoil_enabled=True)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["quiet", "noisy"])
+@pytest.mark.parametrize("mode", ["exact", "lindblad"])
+def test_wall_clock_origin_invariance(mode, noisy, composite_reference):
+    """The boson-state cycle carries no wall clock.  That is exact because
+    the spin is optically pumped to |down> perfectly at every cycle and all
+    noise is covariant under exp(-i phi n): the interaction-frame phases of
+    the composite engine then cancel, whatever the clock's origin.  Here
+    the composite engine, started at several wall-clock origins, must agree
+    with the boson engine to 1e-12 in nbar."""
+    cfg = make_config(channel_mode=mode, max_cycles=6,
+                      noise=NOISE if noisy else NoiseParams(),
+                      initial=InitialState(kind="thermal", nbar=1.0),
+                      cutoff=CutoffPolicy(n_max=24))
+    traj = run_cycles(cfg)
+    cut = FockCutoff(int(traj.n_max_used[-1]))
+    for t0 in (0.0, 137.5, 2.5e4):
+        ref = composite_reference(cfg, cut, 6, t0)
+        assert np.abs(ref - traj.nbar).max() <= 1e-12
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["quiet", "noisy"])
+def test_drive_stage_trace_and_positivity(noisy):
+    cut = FockCutoff(20)
+    cfg = make_config(noise=NOISE if noisy else NoiseParams())
+    plan = _CyclePlan(cfg, cfg.drive, cut)
+    rho = fs.thermal_state(2.0, cut, eps=1e-3)
+    out = plan.drive(rho)
+    assert abs(np.trace(out) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(out)[0] > -1e-12
+    assert np.abs(out - out.conj().T).max() < 1e-14
