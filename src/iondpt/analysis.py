@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .fockspace import trace_out_spin
-from .probe import FitError, measure_nbar
+from .probe import FitError, fit_covariance, measure_nbar
 from .protocol import (run, config_with_coupling, config_with_ratio,
                        SimulationDiverged)
 
@@ -124,9 +124,7 @@ def _least_squares_fit(model, residuals, x0, names, bounds, window=()):
     sol = least_squares(residuals, x0, bounds=bounds)
     if not sol.success:
         raise FitError(f"{model} fit did not converge: {sol.message}")
-    dof = max(sol.fun.size - len(x0), 1)
-    sigma2 = float(sol.fun @ sol.fun) / dof
-    cov = sigma2 * np.linalg.pinv(sol.jac.T @ sol.jac)
+    cov = fit_covariance(sol.fun, sol.jac)
     errs = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FitResult(model=model,
                      params=dict(zip(names, map(float, sol.x))),
@@ -170,9 +168,7 @@ def _saturation_lsq(x, y, x0):
                         x_scale="jac", max_nfev=5000)
     if not sol.success:
         raise FitError(f"saturation extrapolation failed: {sol.message}")
-    dof = max(sol.fun.size - 3, 1)
-    sigma2 = float(sol.fun @ sol.fun) / dof
-    cov = sigma2 * np.linalg.pinv(sol.jac.T @ sol.jac)
+    cov = fit_covariance(sol.fun, sol.jac)
     return sol.x, float(np.sqrt(max(cov[0, 0], 0.0)))
 
 
@@ -272,9 +268,7 @@ def fit_critical_power_law(points, g_window=None):
                                     [np.inf, gmax + 0.5, 10.0]))
         if not sol.success:
             raise FitError(f"critical fit degenerate: {sol.message}")
-    dof = max(sol.fun.size - 3, 1)
-    sigma2 = float(sol.fun @ sol.fun) / dof
-    cov = sigma2 * np.linalg.pinv(sol.jac.T @ sol.jac)
+    cov = fit_covariance(sol.fun, sol.jac)
     errs = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     c_val = float(np.exp(sol.x[0]))
     return FitResult(

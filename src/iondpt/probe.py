@@ -109,6 +109,14 @@ def _cosine_projection_init(scan, k_max):
     return p0
 
 
+def fit_covariance(residuals, jac):
+    """Parameter covariance sigma^2 (J^T J)^+ of a least-squares solution,
+    with sigma^2 = |r|^2 / max(N - P, 1) for N residuals and P parameters."""
+    dof = max(residuals.size - jac.shape[1], 1)
+    sigma2 = float(residuals @ residuals) / dof
+    return sigma2 * np.linalg.pinv(jac.T @ jac)
+
+
 def fit_populations(scan, k_max, decay_model="sqrt", max_nfev=2000):
     """Constrained least-squares fit of Fock populations and a decay scale.
 
@@ -143,14 +151,10 @@ def fit_populations(scan, k_max, decay_model="sqrt", max_nfev=2000):
 
     r_data = sol.fun[:-1]
     J = sol.jac[:-1, :]
-    dof = max(r_data.size - n_params, 1)
-    sigma2 = float(r_data @ r_data) / dof
-    jtj = J.T @ J
-    rank = np.linalg.matrix_rank(jtj)
-    if rank < n_params:
+    if np.linalg.matrix_rank(J.T @ J) < n_params:
         warnings.warn("rank-deficient Jacobian; covariance from pseudo-inverse",
                       RuntimeWarning)
-    cov_full = sigma2 * np.linalg.pinv(jtj)
+    cov_full = fit_covariance(r_data, J)
     return PopulationFit(p=sol.x[:-1], cov=cov_full[:-1, :-1], gamma0=float(sol.x[-1]),
                          residual_rms=float(np.sqrt(np.mean(r_data**2))),
                          decay_model=decay_model)

@@ -13,7 +13,7 @@ from . import fockspace as fs
 from .fockspace import FockCutoff
 from .model import DriveParams, CoolParams, derive, h_qrm
 from .channels import (NoiseParams, CoolingChannel, SplitStepPropagator,
-                       lift, make_noise_jumps, unitary_propagator)
+                       make_noise_jumps, unitary_propagator)
 
 
 class SimulationDiverged(RuntimeError):
@@ -136,7 +136,7 @@ class _CyclePlan:
         H = h_qrm(derived, cutoff)
         noise_jumps = make_noise_jumps(config.noise, cutoff)
         if noise_jumps:
-            prop = SplitStepPropagator(H, lift(noise_jumps), drive.tau)
+            prop = SplitStepPropagator(H, noise_jumps, drive.tau)
             self.drive = lambda rho_m: fs.trace_out_spin(
                 prop.apply(fs.embed_down(rho_m)))
         else:

@@ -6,9 +6,10 @@ from iondpt.fockspace import FockCutoff
 from iondpt.model import DriveParams, CoolParams, derive, khz, h_red_sideband, h_qrm
 from iondpt import channels as ch
 from iondpt.channels import (NoiseParams, SplitStepPropagator, IntegrationError,
-                             CoolingChannel, make_noise_jumps, lift,
+                             CoolingChannel, Dissipator, make_noise_jumps,
                              lindblad_step, unitary_step, pulse_kraus,
-                             apply_kraus, spin_reset, p_up, recoil_kick)
+                             apply_kraus, spin_reset, p_up, recoil_diffusion,
+                             recoil_kick)
 
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
 DERIVED = derive(DriveParams.from_khz(26.0, 24.0, 9.0, 20.0))
@@ -41,6 +42,22 @@ def cool_lindblad(rho_m, noise=None):
     cut = FockCutoff(rho_m.shape[0] - 1)
     return CoolingChannel(COOL, DERIVED, cut, noise=noise,
                           mode="lindblad").apply(rho_m)[0]
+
+
+def pulse_map(mode, theta, cut):
+    """The noise-free cooling pulse of area theta as a map on rho_m: the
+    exact Kraus pair, or the linearized jump sqrt(theta^2/tau_c) a over
+    tau_c as a Dissipator."""
+    if mode == "exact":
+        kraus = pulse_kraus(theta, cut)
+        return lambda rho_m: apply_kraus(kraus, rho_m)
+    a = fs.build_boson_ops(cut)[0]
+    return Dissipator([theta / np.sqrt(COOL.tau_c) * a], COOL.tau_c).apply
+
+
+def lifted(jumps):
+    """Spin-identity extensions I (x) L of boson jumps."""
+    return [fs.tensor(np.eye(2), L) for L in jumps]
 
 
 def random_state(n_max, seed):
@@ -190,15 +207,16 @@ def test_p_up():
 
 def test_recoil_kick():
     vac = fock(10, 0)
+    diffusion = recoil_diffusion(FockCutoff(10))
     noise = NoiseParams(recoil_enabled=True, recoil_dn=0.01, photons_per_pump=3)
-    out = recoil_kick(vac, 1.0, noise)
+    out = recoil_kick(vac, 1.0, noise, diffusion)
     n_t = number(out)
     assert n_t == pytest.approx(0.09, abs=1e-5)
-    assert np.allclose(recoil_kick(vac, 0.0, noise), vac)
+    assert np.allclose(recoil_kick(vac, 0.0, noise, diffusion), vac)
     disabled = NoiseParams(recoil_dn=0.01)
-    assert np.allclose(recoil_kick(vac, 1.0, disabled), vac)
+    assert np.allclose(recoil_kick(vac, 1.0, disabled, diffusion), vac)
     with pytest.raises(ValueError):
-        recoil_kick(vac, 1.5, noise)
+        recoil_kick(vac, 1.5, noise, diffusion)
 
 
 def test_cooling_exact_single_phonon():
@@ -278,11 +296,15 @@ def test_channels_preserve_density_matrix_validity():
 @pytest.mark.parametrize("mode", ["exact", "lindblad"])
 @pytest.mark.parametrize("theta", [THETA, 1.3])
 def test_pulse_kraus_complete(mode, theta):
+    # sum_k A_k^dag A_k = I: its element (m, n) is Tr Phi(|n><m|)
     cut = FockCutoff(40)
-    total = np.zeros((cut.bdim, cut.bdim))
-    for k, w in pulse_kraus(mode, theta, cut):
-        A = np.diag(w[k:], k)   # A|n> = w[n] |n-k>
-        total += A.T @ A
+    pulse = pulse_map(mode, theta, cut)
+    total = np.zeros((cut.bdim, cut.bdim), dtype=complex)
+    for n in range(cut.bdim):
+        for m in range(cut.bdim):
+            unit = np.zeros((cut.bdim, cut.bdim), dtype=complex)
+            unit[n, m] = 1.0
+            total[m, n] = np.trace(pulse(unit))
     assert np.abs(total - np.eye(cut.bdim)).max() < 1e-12
 
 
@@ -294,7 +316,7 @@ def test_noise_free_cooling_stage_trace_and_positivity(mode):
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(out)[0] > -1e-12
     assert 0.0 <= pup <= 1.0
-    pulse = apply_kraus(pulse_kraus(mode, THETA, FockCutoff(25)), rho)
+    pulse = pulse_map(mode, THETA, FockCutoff(25))(rho)
     assert abs(np.trace(pulse) - 1.0) < 1e-12
     # the free evolution is a pure phase: the stage differs from the pulse
     # only in its coherences
@@ -306,7 +328,7 @@ def test_exact_pulse_matches_sideband_rotation():
     rho = random_state(cut.n_max, seed=2)
     rotated = unitary_step(fs.embed_down(rho), h_red_sideband(COOL.omega_c, cut),
                            COOL.tau_c)
-    out = apply_kraus(pulse_kraus("exact", THETA, cut), rho)
+    out = apply_kraus(pulse_kraus(THETA, cut), rho)
     assert np.abs(out - fs.trace_out_spin(rotated)).max() < 1e-12
     assert p_up(rotated) == pytest.approx(
         float(np.sin(THETA * np.sqrt(np.arange(cut.bdim))) ** 2
@@ -322,7 +344,7 @@ def test_amplitude_damping_matches_lindblad_step():
     # RK4 at the default 0.1 us step is itself off by 4.5e-10 here
     ref = lindblad_step(rho, None, [np.sqrt(THETA**2 / COOL.tau_c) * a],
                         COOL.tau_c, dt_max=0.01)
-    out = apply_kraus(pulse_kraus("lindblad", THETA, cut), rho)
+    out = pulse_map("lindblad", THETA, cut)(rho)
     assert np.abs(out - ref).max() < 1e-9
 
 
@@ -330,15 +352,15 @@ def test_split_step_matches_lindblad_step():
     cut = FockCutoff(12)
     H = h_qrm(DERIVED, cut)
     noise = NoiseParams(heating_rate=5e-3, dephasing_rate=2e-2)
-    jumps = lift(make_noise_jumps(noise, cut))
+    jumps = make_noise_jumps(noise, cut)
     rho = fs.embed_down(fs.thermal_state(1.5, cut, eps=5e-3))
     t = 20.0
-    ref = lindblad_step(rho, H, jumps, t)
+    ref = lindblad_step(rho, H, lifted(jumps), t)
     out = SplitStepPropagator(H, jumps, t).apply(rho)
     assert np.abs(out - ref).max() < 1e-5
-    # diagonal-generator fast path
+    # a diagonal generator, as a dense input
     Hd = np.diag(np.diag(H)).astype(complex)
-    ref_d = lindblad_step(rho, Hd, jumps, t)
+    ref_d = lindblad_step(rho, Hd, lifted(jumps), t)
     out_d = SplitStepPropagator(Hd, jumps, t).apply(rho)
     assert np.abs(out_d - ref_d).max() < 1e-5
 
@@ -357,3 +379,85 @@ def test_zero_amplitude_cooling_pulse_keeps_populations():
     out, pup = cool_exact(rho, cool=cool0)
     assert pup == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(np.diag(out).real, np.diag(rho).real, atol=1e-12)
+
+
+def dissipator_jump_sets(cut):
+    a, adag, _ = fs.build_boson_ops(cut)
+    noise = make_noise_jumps(NoiseParams(heating_rate=5e-3, thermal_nth=3.0,
+                                         dephasing_rate=2e-2), cut)
+    cooling = 0.3 * a
+    return {"heating+dephasing": noise,
+            "cooling+heating+dephasing": [cooling] + noise,
+            "cooling": [cooling],
+            "recoil pair": [0.1 * adag, 0.1 * a]}
+
+
+@pytest.mark.parametrize("name", ["heating+dephasing",
+                                  "cooling+heating+dephasing", "cooling",
+                                  "recoil pair"])
+def test_dissipator_matches_lindblad_step(name):
+    cut = FockCutoff(16)
+    jumps = dissipator_jump_sets(cut)[name]
+    rho = random_state(cut.n_max, seed=3)
+    t = 4.0
+    ref = lindblad_step(rho, None, jumps, t, dt_max=0.002)
+    assert np.abs(Dissipator(jumps, t).apply(rho) - ref).max() <= 1e-12
+
+
+def test_recoil_kick_matches_lindblad_step():
+    # the kick dn = recoil_dn * (N_p * p_up)^2 is the unit pair's flow over dn
+    cut = FockCutoff(16)
+    a, adag, _ = fs.build_boson_ops(cut)
+    rho = random_state(cut.n_max, seed=6)
+    noise = NoiseParams(recoil_enabled=True, recoil_dn=0.04, photons_per_pump=2)
+    out = recoil_kick(rho, 0.5, noise, recoil_diffusion(cut))
+    ref = lindblad_step(rho, None, [0.2 * adag, 0.2 * a], 1.0, dt_max=0.002)
+    assert np.abs(out - ref).max() <= 1e-12
+
+
+def test_dissipator_trace_and_positivity():
+    cut = FockCutoff(16)
+    # half a spin superposition (|down> phi + |up> chi)/sqrt2, half mixed
+    rng = np.random.default_rng(11)
+    phi, chi = rng.normal(size=(2, cut.bdim)) + 1j * rng.normal(size=(2, cut.bdim))
+    psi = np.concatenate([phi / np.linalg.norm(phi),
+                          chi / np.linalg.norm(chi)]) / np.sqrt(2)
+    composite = 0.5 * np.outer(psi, psi.conj()) + 0.25 * np.kron(
+        np.eye(2), random_state(cut.n_max, seed=12))
+    assert np.linalg.norm(composite[:cut.bdim, cut.bdim:]) > 0.1
+    for jumps in dissipator_jump_sets(cut).values():
+        diss = Dissipator(jumps, 4.0)
+        for rho in (random_state(cut.n_max, seed=4), composite):
+            out = diss.apply(rho)
+            assert abs(np.trace(out) - 1.0) <= 1e-12
+            assert np.linalg.eigvalsh(out)[0] > -1e-12
+        # the composite map is I (x) D: the same as the RK4 reference on lifted jumps
+        ref = lindblad_step(composite, None, lifted(jumps), 4.0, dt_max=0.002)
+        assert np.abs(diss.apply(composite) - ref).max() <= 1e-12
+
+
+def test_dissipator_rejects_non_covariant_jump():
+    a, adag, _ = boson_ops(6)
+    with pytest.raises(ValueError):
+        Dissipator([a + adag], 1.0)
+    with pytest.raises(ValueError):
+        Dissipator([1j * np.diag(np.arange(7.0))], 1.0)
+
+
+def test_split_step_slice_error(monkeypatch):
+    """Pins the Strang splitting error of the 0.5 us slice on a short noisy
+    exact-channel run against 0.05 us slices."""
+    from iondpt.protocol import (ExperimentConfig, InitialState, CutoffPolicy,
+                                 config_with_coupling, run_cycles)
+    cfg = config_with_coupling(ExperimentConfig(
+        drive=DriveParams.from_khz(51.0, 49.0, 10.0, 20.0), cool=COOL,
+        noise=NoiseParams.from_per_second(heating_per_s=50.0,
+                                          dephasing_per_s=200.0,
+                                          recoil_enabled=True),
+        initial=InitialState(kind="thermal", nbar=1.0), max_cycles=8,
+        cutoff=CutoffPolicy(n_max=16, eps=1e-2)), 1.3)
+    coarse = run_cycles(cfg).nbar
+    monkeypatch.setattr(ch, "SLICE_US", 0.05)
+    fine = run_cycles(cfg).nbar
+    error = np.abs(coarse - fine).max()
+    assert 3e-7 < error < 1.2e-6   # 5.6e-7 measured
