@@ -4,7 +4,7 @@ phase transition of the quantum Rabi model on a single trapped ion.
 The package is organized around small focused modules:
 
 - fockspace: truncated composite spin-boson Hilbert space and state helpers
-- model: parameter derivation, Hamiltonians, interaction-frame handling
+- model: parameter derivation, Hamiltonians
 - channels: unitary/Lindblad propagation, the cooling channel, noise
 - protocol: the repeated drive -> dissipate cycle engine
 - probe: blue-sideband population measurement emulation and fitting

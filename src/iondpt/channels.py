@@ -1,7 +1,7 @@
 """State-evolution primitives: unitary steps, the exact dissipator of the
 phase-covariant boson jumps (cooling, heating, dephasing, recoil), the
-sideband-cooling channel (exact and linearized) on the boson state, spin
-reset and noise.  lindblad_step is a fixed-step RK4 reference integrator.
+sideband-cooling channel (exact and linearized) on the boson state and
+noise.  lindblad_step is a fixed-step RK4 reference integrator.
 
 Jump operators carry units of 1/sqrt(us); Hamiltonians rad/us.
 """
@@ -293,11 +293,6 @@ def apply_kraus(kraus, rho_m):
     return out
 
 
-def spin_reset(rho):
-    """Optical pumping to |down>: rho -> |down><down| (x) Tr_spin(rho)."""
-    return embed_down(trace_out_spin(rho))
-
-
 def p_up(rho):
     """Spin-up population."""
     b = rho.shape[0] // 2
@@ -355,14 +350,16 @@ class CoolingChannel:
             raise ValueError(f"unknown channel mode {mode!r}")
         self.noise = noise if noise is not None else NoiseParams()
         noise_jumps = make_noise_jumps(self.noise, cutoff)
+        # only the exact pulses report the p_up that sets the recoil kick
+        exact = mode == "exact" and (cool.omega_c > 0 or not noise_jumps)
 
-        if mode == "exact" and not noise_jumps:
+        if exact and not noise_jumps:
             kraus = pulse_kraus(0.5 * cool.omega_c * cool.tau_c, cutoff)
             # the second operator flips |down, n> to |up, n-1>
             up = kraus[1] ** 2
             self._pulse = lambda rho_m: (apply_kraus(kraus, rho_m),
                                          float(up @ np.real(np.diag(rho_m))))
-        elif mode == "exact" and cool.omega_c > 0:
+        elif exact:
             prop = SplitStepPropagator(h_red_sideband(cool.omega_c, cutoff),
                                        noise_jumps, cool.tau_c)
 
@@ -381,7 +378,7 @@ class CoolingChannel:
         self._idle = (Dissipator(noise_jumps, cool.tau_d - cool.tau_c).apply
                       if noise_jumps else None)
         self._diffusion = (recoil_diffusion(cutoff)
-                           if self.noise.recoil_enabled else None)
+                           if exact and self.noise.recoil_enabled else None)
         # H0 on the spin-down manifold; its constant -omega_a/2 cancels in rho_m
         h0_down = frame_shift_diagonal(derived, cutoff)[:cutoff.bdim]
         self._phase = np.exp(-1j * h0_down * cool.tau_d)
@@ -389,7 +386,7 @@ class CoolingChannel:
     def apply(self, rho_m):
         """Apply the stage; returns (state, spin-up population before pump)."""
         rho_m, pup = self._pulse(rho_m)
-        if self.noise.recoil_enabled:
+        if self._diffusion is not None:
             rho_m = recoil_kick(rho_m, pup, self.noise, self._diffusion)
         if self._idle is not None:
             rho_m = self._idle(rho_m)

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from . import analysis, probe
-from .channels import IntegrationError
 from .config import (ConfigError, load_tree, experiment_from_tree, scan_spec,
                      probe_spec)
 from .fockspace import trace_out_spin
@@ -93,7 +92,7 @@ def cmd_run(args):
     started = datetime.now(timezone.utc).isoformat()
     try:
         traj = run(config)
-    except (SimulationDiverged, IntegrationError) as exc:
+    except SimulationDiverged as exc:
         raise CliError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc
     stem = _stem(args)
     csv_path = os.path.join(args.out_dir, f"{stem}_trajectory.csv")
@@ -147,7 +146,7 @@ def cmd_scan(args):
             omega_values = [khz(f) for f in spec["omega_c_khz"]]
             scans = analysis.cooling_scan(config, omega_values, spec["values"],
                                           threads=threads)
-    except (SimulationDiverged, IntegrationError) as exc:
+    except SimulationDiverged as exc:
         raise CliError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc
 
     stem = _stem(args)
@@ -240,7 +239,7 @@ def cmd_probe_demo(args):
     started = datetime.now(timezone.utc).isoformat()
     try:
         traj = run(config)
-    except (SimulationDiverged, IntegrationError) as exc:
+    except SimulationDiverged as exc:
         raise CliError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc
 
     rho_m = trace_out_spin(traj.final_state)

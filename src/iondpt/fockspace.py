@@ -69,28 +69,6 @@ def tensor(spin_part, boson_part):
     return np.kron(spin_part, boson_part)
 
 
-def number_full(cutoff):
-    """a^dag a on the composite space."""
-    _, _, num = build_boson_ops(cutoff)
-    return tensor(np.eye(2), num)
-
-
-def ket(cutoff, spin, n):
-    """Basis ket |spin, n> as a flat vector; spin 0 is down."""
-    if spin not in (0, 1):
-        raise ValueError("spin index must be 0 (down) or 1 (up)")
-    if not 0 <= n <= cutoff.n_max:
-        raise ValueError(f"Fock index {n} outside cutoff {cutoff.n_max}")
-    v = np.zeros(cutoff.dim, dtype=complex)
-    v[spin * cutoff.bdim + n] = 1.0
-    return v
-
-
-def projector(cutoff, spin, n):
-    v = ket(cutoff, spin, n)
-    return np.outer(v, v.conj())
-
-
 def expectation(rho, obs):
     """Tr(rho obs) for Hermitian obs; raises on large imaginary residue."""
     val = np.sum(rho * obs.T)
@@ -151,10 +129,3 @@ def check_density_matrix(rho):
     if wmin < POSITIVITY_TOL:
         raise StateValidityError(f"negative eigenvalue {wmin:.3e}")
 
-
-def is_valid_density_matrix(rho):
-    try:
-        check_density_matrix(rho)
-    except StateValidityError:
-        return False
-    return True

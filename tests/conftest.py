@@ -5,9 +5,11 @@ import pytest
 
 from iondpt import fockspace as fs
 from iondpt.channels import (Dissipator, SplitStepPropagator, make_noise_jumps,
-                             p_up, recoil_diffusion, recoil_kick, spin_reset,
+                             p_up, recoil_diffusion, recoil_kick,
                              unitary_propagator)
 from iondpt.model import derive, frame_shift_diagonal, h_qrm, h_red_sideband
+
+from helpers import number_full, spin_reset
 
 
 def composite_cycles_nbar(config, cutoff, n_cycles, t0):
@@ -52,7 +54,7 @@ def composite_cycles_nbar(config, cutoff, n_cycles, t0):
 
     rho = fs.embed_down(fs.thermal_state(config.initial.nbar, cutoff,
                                          eps=config.cutoff.eps))
-    num = fs.number_full(cutoff)
+    num = number_full(cutoff)
     t = t0
     nbar = []
     for _ in range(n_cycles):

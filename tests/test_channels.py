@@ -8,8 +8,9 @@ from iondpt import channels as ch
 from iondpt.channels import (NoiseParams, SplitStepPropagator, IntegrationError,
                              CoolingChannel, Dissipator, make_noise_jumps,
                              lindblad_step, unitary_step, pulse_kraus,
-                             apply_kraus, spin_reset, p_up, recoil_diffusion,
-                             recoil_kick)
+                             apply_kraus, p_up, recoil_diffusion, recoil_kick)
+
+from helpers import ket, projector, spin_reset
 
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
 DERIVED = derive(DriveParams.from_khz(26.0, 24.0, 9.0, 20.0))
@@ -84,7 +85,7 @@ def test_unitary_step_phase_and_energy():
     omega = khz(25.0)
     sz = fs.tensor(np.diag([-1.0, 1.0]), np.eye(cut.bdim))
     H = 0.5 * omega * sz
-    psi = (fs.ket(cut, 0, 0) + fs.ket(cut, 1, 0)) / np.sqrt(2)
+    psi = (ket(cut, 0, 0) + ket(cut, 1, 0)) / np.sqrt(2)
     rho = np.outer(psi, psi.conj())
     t = 3.7
     out = unitary_step(rho, H, t)
@@ -100,9 +101,9 @@ def test_unitary_step_pi_pulse():
     cut = FockCutoff(4)
     omega_c = khz(20.0)
     H = h_red_sideband(omega_c, cut)
-    rho = fs.projector(cut, 0, 1)
+    rho = projector(cut, 0, 1)
     out = unitary_step(rho, H, np.pi / omega_c)  # Omega_c t = pi on sqrt(1)
-    assert np.abs(out - fs.projector(cut, 1, 0)).max() < 1e-10
+    assert np.abs(out - projector(cut, 1, 0)).max() < 1e-10
 
 
 def test_unitary_step_rejects_non_hermitian():
@@ -146,7 +147,7 @@ def test_lindblad_dephasing_oracle():
 def test_lindblad_step_no_jumps_matches_unitary():
     cut = FockCutoff(4)
     H = h_qrm(DERIVED, cut)
-    rho = fs.projector(cut, 0, 2)
+    rho = projector(cut, 0, 2)
     assert np.allclose(lindblad_step(rho, H, [], 7.0), unitary_step(rho, H, 7.0))
 
 
@@ -189,20 +190,20 @@ def test_dephasing_fixes_diagonal_states():
 
 def test_spin_reset():
     cut = FockCutoff(3)
-    assert np.allclose(spin_reset(fs.projector(cut, 1, 2)), fs.projector(cut, 0, 2))
-    prod = fs.projector(cut, 0, 1)
+    assert np.allclose(spin_reset(projector(cut, 1, 2)), projector(cut, 0, 2))
+    prod = projector(cut, 0, 1)
     assert np.allclose(spin_reset(prod), prod)  # idempotent on down states
-    psi = (fs.ket(cut, 0, 0) + fs.ket(cut, 1, 1)) / np.sqrt(2)
+    psi = (ket(cut, 0, 0) + ket(cut, 1, 1)) / np.sqrt(2)
     out = spin_reset(np.outer(psi, psi.conj()))
-    expected = 0.5 * fs.projector(cut, 0, 0) + 0.5 * fs.projector(cut, 0, 1)
+    expected = 0.5 * projector(cut, 0, 0) + 0.5 * projector(cut, 0, 1)
     assert np.allclose(out, expected)
     assert np.trace(out).real == pytest.approx(1.0)
 
 
 def test_p_up():
     cut = FockCutoff(2)
-    assert p_up(fs.projector(cut, 1, 0)) == pytest.approx(1.0)
-    assert p_up(fs.projector(cut, 0, 2)) == pytest.approx(0.0)
+    assert p_up(projector(cut, 1, 0)) == pytest.approx(1.0)
+    assert p_up(projector(cut, 0, 2)) == pytest.approx(0.0)
 
 
 def test_recoil_kick():
@@ -217,6 +218,15 @@ def test_recoil_kick():
     assert np.allclose(recoil_kick(vac, 1.0, disabled, diffusion), vac)
     with pytest.raises(ValueError):
         recoil_kick(vac, 1.5, noise, diffusion)
+
+
+def test_linearized_channel_ignores_recoil():
+    # the linearized pulse reports p_up = 0, so no recoil kick can follow it
+    rho = random_state(8, seed=5)
+    for rates in ({}, {"heating_rate": 1e-4, "dephasing_rate": 1e-4}):
+        kicked = cool_lindblad(rho, NoiseParams(recoil_enabled=True,
+                                                recoil_dn=0.5, **rates))
+        assert np.array_equal(kicked, cool_lindblad(rho, NoiseParams(**rates)))
 
 
 def test_cooling_exact_single_phonon():
@@ -368,7 +378,7 @@ def test_split_step_matches_lindblad_step():
 def test_split_step_without_jumps_is_unitary():
     cut = FockCutoff(6)
     H = h_qrm(DERIVED, cut)
-    rho = fs.projector(cut, 0, 2)
+    rho = projector(cut, 0, 2)
     out = SplitStepPropagator(H, [], 13.0).apply(rho)
     assert np.abs(out - unitary_step(rho, H, 13.0)).max() < 1e-10
 

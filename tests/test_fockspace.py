@@ -4,6 +4,8 @@ import pytest
 from iondpt import fockspace as fs
 from iondpt.fockspace import FockCutoff, StateValidityError
 
+from helpers import is_valid_density_matrix, ket, number_full, projector
+
 
 def test_cutoff_dimensions():
     cut = FockCutoff(30)
@@ -37,11 +39,11 @@ def test_tensor_ordering_and_errors():
     sp, _, sz, _ = fs.build_spin_ops()
     a, _, _ = fs.build_boson_ops(cut)
     assert np.allclose(fs.tensor(np.eye(2), np.eye(cut.bdim)), np.eye(cut.dim))
-    up3 = fs.ket(cut, 1, 3)
+    up3 = ket(cut, 1, 3)
     assert np.allclose(fs.tensor(sz, np.eye(cut.bdim)) @ up3, up3)
     # tensor(sigma_plus, a)|down,1> = |up,0>
-    out = fs.tensor(sp, a) @ fs.ket(cut, 0, 1)
-    assert np.allclose(out, fs.ket(cut, 1, 0))
+    out = fs.tensor(sp, a) @ ket(cut, 0, 1)
+    assert np.allclose(out, ket(cut, 1, 0))
     with pytest.raises(ValueError):
         fs.tensor(np.eye(3), np.eye(4))
     with pytest.raises(ValueError):
@@ -59,18 +61,18 @@ def test_tensor_mixed_product_rule():
 
 def test_expectation_examples():
     cut = FockCutoff(8)
-    num = fs.number_full(cut)
-    vac = fs.projector(cut, 0, 0)
+    num = number_full(cut)
+    vac = projector(cut, 0, 0)
     assert fs.expectation(vac, num) == pytest.approx(0.0)
     sp, sm, _, _ = fs.build_spin_ops()
     excited = fs.tensor(sp @ sm, np.eye(cut.bdim))
-    up2 = fs.projector(cut, 1, 2)
+    up2 = projector(cut, 1, 2)
     assert fs.expectation(up2, excited) == pytest.approx(1.0)
 
 
 def test_expectation_imaginary_residue():
     cut = FockCutoff(2)
-    rho = fs.projector(cut, 0, 1)
+    rho = projector(cut, 0, 1)
     obs = np.zeros((cut.dim, cut.dim), dtype=complex)
     obs[1, 1] = 1j  # corrupt observable forces an imaginary trace
     with pytest.raises(StateValidityError):
@@ -110,15 +112,15 @@ def test_thermal_state_zero_is_vacuum():
 
 def test_trace_out_spin():
     cut = FockCutoff(3)
-    rho = fs.projector(cut, 0, 1)
+    rho = projector(cut, 0, 1)
     assert np.allclose(fs.trace_out_spin(rho), np.diag([0, 1, 0, 0]))
-    mix = 0.5 * fs.projector(cut, 0, 0) + 0.5 * fs.projector(cut, 1, 1)
+    mix = 0.5 * projector(cut, 0, 0) + 0.5 * projector(cut, 1, 1)
     assert np.allclose(fs.trace_out_spin(mix), np.diag([0.5, 0.5, 0, 0]))
 
 
 def test_trace_out_spin_purity_contraction():
     cut = FockCutoff(2)
-    psi = (fs.ket(cut, 0, 0) + fs.ket(cut, 1, 1)) / np.sqrt(2)
+    psi = (ket(cut, 0, 0) + ket(cut, 1, 1)) / np.sqrt(2)
     rho = np.outer(psi, psi.conj())
     rho_m = fs.trace_out_spin(rho)
     assert np.trace(rho_m).real == pytest.approx(1.0)
@@ -131,7 +133,7 @@ def test_trace_out_spin_purity_contraction():
 
 def test_tail_mass_full_space():
     cut = FockCutoff(4)
-    rho = 0.5 * fs.projector(cut, 0, 4) + 0.5 * fs.projector(cut, 1, 0)
+    rho = 0.5 * projector(cut, 0, 4) + 0.5 * projector(cut, 1, 0)
     rho_m = fs.trace_out_spin(rho)
     assert fs.tail_mass(rho_m, 4) == pytest.approx(0.5)
     assert fs.tail_mass(rho_m, 0) == pytest.approx(1.0)
@@ -139,9 +141,9 @@ def test_tail_mass_full_space():
 
 def test_check_density_matrix():
     cut = FockCutoff(2)
-    good = fs.projector(cut, 0, 0)
+    good = projector(cut, 0, 0)
     fs.check_density_matrix(good)
-    assert fs.is_valid_density_matrix(good)
+    assert is_valid_density_matrix(good)
 
     bad_trace = 2.0 * good
     with pytest.raises(StateValidityError):

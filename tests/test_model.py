@@ -8,6 +8,8 @@ from iondpt.model import (DriveParams, CoolParams, derive, khz, per_second,
                           omega_sb_for_coupling, h_qrm, h_red_sideband,
                           h_blue_sideband, frame_shift_diagonal)
 
+from helpers import ket
+
 
 def test_unit_conversions():
     assert khz(1.0) == pytest.approx(2 * np.pi * 1e-3)
@@ -74,8 +76,8 @@ def test_h_qrm_coupling_element_and_hermiticity():
     cut = FockCutoff(6)
     H = h_qrm(der, cut)
     assert np.linalg.norm(H - H.conj().T) < 1e-12 * np.linalg.norm(H)
-    up0 = fs.ket(cut, 1, 0)
-    down1 = fs.ket(cut, 0, 1)
+    up0 = ket(cut, 1, 0)
+    down1 = ket(cut, 0, 1)
     assert up0.conj() @ H @ down1 == pytest.approx(der.lam)
 
 
@@ -83,11 +85,11 @@ def test_h_red_sideband_elements():
     cut = FockCutoff(5)
     omega_c = khz(20.0)
     H = h_red_sideband(omega_c, cut)
-    up0 = fs.ket(cut, 1, 0)
-    down1 = fs.ket(cut, 0, 1)
+    up0 = ket(cut, 1, 0)
+    down1 = ket(cut, 0, 1)
     assert up0.conj() @ H @ down1 == pytest.approx(omega_c / 2)
     # |down, 0> is the dark state
-    assert np.linalg.norm(H @ fs.ket(cut, 0, 0)) == 0.0
+    assert np.linalg.norm(H @ ket(cut, 0, 0)) == 0.0
     with pytest.raises(ValueError):
         h_red_sideband(0.0, cut)
 
@@ -97,11 +99,11 @@ def test_h_blue_sideband_elements_and_boundary():
     omega = khz(20.0)
     H = h_blue_sideband(omega, cut)
     for n in range(cut.n_max):
-        up = fs.ket(cut, 1, n + 1)
-        down = fs.ket(cut, 0, n)
+        up = ket(cut, 1, n + 1)
+        down = ket(cut, 0, n)
         assert up.conj() @ H @ down == pytest.approx(omega / 2 * np.sqrt(n + 1))
     # the top |down, n_max> state has no truncated partner
-    assert np.linalg.norm(H @ fs.ket(cut, 0, cut.n_max)) == 0.0
+    assert np.linalg.norm(H @ ket(cut, 0, cut.n_max)) == 0.0
 
 
 def test_frame_shift_matches_decoupled_hamiltonian():

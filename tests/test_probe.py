@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from iondpt import fockspace as fs
 from iondpt.fockspace import FockCutoff, thermal_state
-from iondpt.model import khz
+from iondpt.model import h_blue_sideband, khz
 from iondpt import probe as pr
 from iondpt.probe import (ProbeScan, simulate_probe, fit_populations,
                           nbar_from_fit, measure_nbar, default_probe_times,
@@ -23,12 +24,48 @@ def test_probe_scan_validation():
         ProbeScan(times=[1.0, 2.0], p_up=[0.5], omega_probe=OMEGA)
     with pytest.raises(ValueError):
         ProbeScan(times=[2.0, 1.0], p_up=[0.5, 0.5], omega_probe=OMEGA)
+    with pytest.raises(ValueError):
+        simulate_probe(np.ones((1, 1)), OMEGA, default_probe_times(OMEGA))
 
 
 def test_vacuum_flop():
     times = default_probe_times(OMEGA)
     scan = simulate_probe(fock_diag([1.0]), OMEGA, times)
     assert np.allclose(scan.p_up, np.sin(OMEGA * times / 2) ** 2, atol=1e-10)
+
+
+def composite_probe_reference(rho_m, omega, times):
+    """Clipped p_up of |down><down| (x) rho_m evolved under h_blue_sideband
+    on the composite space, by eigendecomposition, one time at a time."""
+    cut = FockCutoff(rho_m.shape[0] - 1)
+    w, v = np.linalg.eigh(h_blue_sideband(omega, cut))
+    rho_eig = v.conj().T @ fs.embed_down(rho_m) @ v
+    up = slice(cut.bdim, cut.dim)
+    p = []
+    for t in times:
+        ph = np.exp(-1j * w * t)
+        rho_t = v @ (ph[:, None] * rho_eig * ph.conj()[None, :]) @ v.conj().T
+        p.append(np.real(np.trace(rho_t[up, up])))
+    return np.clip(p, 0.0, 1.0)
+
+
+def random_state(b, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("rho_m", [
+    random_state(12, seed=3),                         # coherences do not enter
+    fock_diag([0.2, 0.3, 0.0, 0.0, 0.0, 0.5], 5),     # n_max does not flop
+    1.5 * fock_diag([1.0], 3),                        # p_up > 1 is clipped
+], ids=["full-rank", "top-level", "overfull"])
+def test_simulate_probe_matches_composite_evolution(rho_m):
+    times = default_probe_times(OMEGA)
+    scan = simulate_probe(rho_m, OMEGA, times)
+    ref = composite_probe_reference(rho_m, OMEGA, times)
+    assert np.abs(scan.p_up - ref).max() <= 1e-12
 
 
 def test_single_phonon_flop():
