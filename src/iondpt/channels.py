@@ -1,7 +1,9 @@
 """State-evolution primitives: unitary steps, the exact dissipator of the
 phase-covariant boson jumps (cooling, heating, dephasing, recoil), the
 sideband-cooling channel (exact and linearized) on the boson state and
-noise.  lindblad_step is a fixed-step RK4 reference integrator.
+noise.  lindblad_step is the exact Lindblad flow of any H and jumps,
+expm_multiply on the sparse superoperator (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)), the reference the other maps are tested against.
 
 Jump operators carry units of 1/sqrt(us); Hamiltonians rad/us.
 """
@@ -11,11 +13,9 @@ import scipy.sparse as sp
 from dataclasses import dataclass
 
 from .fockspace import build_boson_ops, embed_down, trace_out_spin
-from .model import h_red_sideband, frame_shift_diagonal
+from .model import (h_red_sideband, frame_shift_diagonal, check_hermitian,
+                    per_second)
 
-DT_CAP_US = 0.1
-DT_PHASE_BUDGET = 0.05
-TRACE_ABORT_TOL = 1e-6
 # Strang slice of SplitStepPropagator.  Its splitting error in the
 # steady-state nbar at R = 50, g = 1.5 with heating 50/s, dephasing 200/s
 # and recoil is 7.6e-6 against 0.05 us slices.
@@ -29,7 +29,9 @@ RECOIL_DN_DEFAULT = 1.212e-3
 
 
 class IntegrationError(RuntimeError):
-    """Fixed-step integration became unstable (trace drift beyond bound)."""
+    """Unstable time integration.  Nothing in iondpt raises it, since
+    lindblad_step is exact; the name stays because callers such as
+    perfbench/worker.py catch it."""
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ class NoiseParams:
 
     @classmethod
     def from_per_second(cls, heating_per_s=0.0, dephasing_per_s=0.0, **kw):
-        return cls(heating_rate=heating_per_s * 1e-6,
-                   dephasing_rate=dephasing_per_s * 1e-6, **kw)
+        return cls(heating_rate=per_second(heating_per_s),
+                   dephasing_rate=per_second(dephasing_per_s), **kw)
 
 
 def make_noise_jumps(noise, cutoff):
@@ -72,25 +74,9 @@ def make_noise_jumps(noise, cutoff):
     return jumps
 
 
-def spectral_norm_hermitian(H):
-    if H.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(H))))
-
-
-def default_dt_max(H):
-    """Default integrator step bound: min(0.05/||H||, 0.1 us)."""
-    nrm = spectral_norm_hermitian(H) if H is not None else 0.0
-    if nrm == 0.0:
-        return DT_CAP_US
-    return min(DT_PHASE_BUDGET / nrm, DT_CAP_US)
-
-
 def unitary_propagator(H, t):
     """exp(-i H t) by eigendecomposition of a Hermitian H."""
-    asym = np.linalg.norm(H - H.conj().T)
-    if asym > 1e-12 * max(np.linalg.norm(H), 1.0):
-        raise ValueError("unitary_step requires a Hermitian generator")
+    check_hermitian(H, "unitary_step generator")
     w, v = np.linalg.eigh(H)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
@@ -102,82 +88,28 @@ def unitary_step(rho, H, t):
     return U @ rho @ U.conj().T
 
 
-def _lindblad_rhs_factory(H, jumps):
-    """Return rhs(rho) for drho/ds = -i[H,rho] + sum_k D[L_k]rho.
+def lindblad_step(rho, H, jumps, t):
+    """Exact Lindblad flow drho/dt = -i[H, rho] + sum_k D[L_k]rho over t.
 
-    Uses K = -iH - (1/2) sum L^dag L so that rhs = K rho + rho K^dag
-    + sum L rho L^dag; a diagonal K (diagonal H, ladder-type jumps) avoids
-    dense matrix products entirely.
+    With row-major vec and K = -iH - (1/2) sum L^dag L, the generator on
+    vec(rho) is kron(K, I) + kron(I, conj K) + sum kron(L, conj L), and
+    expm_multiply applies its exponential.  H may be None and jumps empty.
     """
-    dim = H.shape[0] if H is not None else jumps[0].shape[0]
-    K = np.zeros((dim, dim), dtype=complex)
-    if H is not None:
-        K -= 1j * H
-    sparse_jumps = []
-    for L in jumps:
-        Ls = sp.csr_matrix(L)
-        sparse_jumps.append(Ls)
-        K -= 0.5 * np.asarray((Ls.conj().T @ Ls).todense())
-    k_diag = np.diag(K).copy()
-    k_is_diag = np.count_nonzero(K - np.diag(k_diag)) == 0
-
-    if k_is_diag:
-        kl = k_diag[:, None]
-        kr = k_diag.conj()[None, :]
-
-        def rhs(rho):
-            out = kl * rho + rho * kr
-            for Ls in sparse_jumps:
-                out += Ls @ (Ls @ rho.conj().T).conj().T
-            return out
-    else:
-        Kd = K.conj().T
-
-        def rhs(rho):
-            out = K @ rho + rho @ Kd
-            for Ls in sparse_jumps:
-                out += Ls @ (Ls @ rho.conj().T).conj().T
-            return out
-
-    return rhs
-
-
-def lindblad_step(rho, H, jumps, t, dt_max=None):
-    """Integrate the Lindblad master equation over [0, t] with fixed-step RK4."""
+    from scipy.sparse.linalg import expm_multiply
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t == 0:
-        return rho.copy()
-    if not jumps:
-        if H is None:
-            return rho.copy()
-        return unitary_step(rho, H, t)
+    dim = rho.shape[0]
+    K = sp.csr_matrix((dim, dim), dtype=complex)
     if H is not None:
-        asym = np.linalg.norm(H - H.conj().T)
-        if asym > 1e-12 * max(np.linalg.norm(H), 1.0):
-            raise ValueError("lindblad_step requires a Hermitian H")
-    if dt_max is None:
-        dt_max = default_dt_max(H)
-    if dt_max <= 0:
-        raise ValueError("dt_max must be > 0")
-
-    rhs = _lindblad_rhs_factory(H, jumps)
-    n_steps = max(1, int(np.ceil(t / dt_max)))
-    dt = t / n_steps
-    tr0 = np.trace(rho).real
-    out = rho
-    for _ in range(n_steps):
-        k1 = rhs(out)
-        k2 = rhs(out + 0.5 * dt * k1)
-        k3 = rhs(out + 0.5 * dt * k2)
-        k4 = rhs(out + dt * k3)
-        out = out + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    drift = abs(np.trace(out).real - tr0)
-    if drift > TRACE_ABORT_TOL:
-        raise IntegrationError(
-            f"trace drift {drift:.3e} over t={t} us (dt={dt:.4f}); "
-            "step instability, reduce dt_max")
-    return out
+        check_hermitian(H, "lindblad_step H")
+        K = -1j * sp.csr_matrix(H)
+    gen = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
+    for L in map(sp.csr_matrix, jumps):
+        K = K - 0.5 * (L.conj().T @ L)
+        gen = gen + sp.kron(L, L.conj())
+    eye = sp.identity(dim, format="csr")
+    gen = gen + sp.kron(K, eye) + sp.kron(eye, K.conj())
+    return expm_multiply(t * gen, rho.reshape(-1)).reshape(rho.shape)
 
 
 def _offset_generators(jumps):

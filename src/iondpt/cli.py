@@ -19,7 +19,6 @@ from . import __version__
 from . import analysis, probe
 from .config import (ConfigError, load_tree, experiment_from_tree, scan_spec,
                      probe_spec)
-from .fockspace import trace_out_spin
 from .model import khz
 from .protocol import SimulationDiverged, run
 
@@ -242,7 +241,7 @@ def cmd_probe_demo(args):
     except SimulationDiverged as exc:
         raise CliError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc
 
-    rho_m = trace_out_spin(traj.final_state)
+    rho_m = traj.final_state
     number = np.arange(rho_m.shape[0])
     nbar_direct = float(np.real(np.diag(rho_m)) @ number)
     omega = popts.pop("omega_probe", config.cool.omega_c)

@@ -2,14 +2,16 @@
 
 Config files are YAML trees quoting ordinary frequencies in kHz, times in
 microseconds and rates in 1/s, so every experimental number can be typed
-verbatim; conversion to internal angular units happens here and only here.
+verbatim; they are converted to internal units on loading, through the
+converters of model.
 """
 
 import numpy as np
 import yaml
 
 from .channels import NoiseParams
-from .model import DriveParams, CoolParams
+from .model import DriveParams, CoolParams, khz
+from .probe import DECAY_MODELS
 from .protocol import (ExperimentConfig, InitialState, Convergence,
                        CutoffPolicy)
 
@@ -160,7 +162,7 @@ def experiment_from_tree(tree, channel=None, noise_mode=None, seed=None):
             drive=_drive(tree), cool=_cool(tree), noise=noise,
             initial=_initial(tree), channel_mode=channel_mode,
             max_cycles=max_cycles, convergence=conv, cutoff=_cutoff(tree),
-            jitter_sigma=2.0 * np.pi * jitter * 1e-3, seed=use_seed)
+            jitter_sigma=khz(jitter), seed=use_seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -212,9 +214,19 @@ def probe_spec(tree):
             raise ConfigError(f"probe.shots: expected a positive integer, got {shots!r}")
     out = {"shots": shots}
     if "omega_probe_khz" in sec:
-        out["omega_probe"] = 2.0 * np.pi * _number(sec, "omega_probe_khz", "probe") * 1e-3
+        omega = _number(sec, "omega_probe_khz", "probe")
+        if not omega > 0:
+            raise ConfigError(f"probe.omega_probe_khz: must be > 0, got {omega}")
+        out["omega_probe"] = khz(omega)
     if "k_max" in sec:
-        out["k_max"] = int(_number(sec, "k_max", "probe"))
+        k_max = int(_number(sec, "k_max", "probe"))
+        if k_max < 0:
+            raise ConfigError(f"probe.k_max: must be >= 0, got {k_max}")
+        out["k_max"] = k_max
     if "decay_model" in sec:
-        out["decay_model"] = str(sec["decay_model"])
+        decay = str(sec["decay_model"])
+        if decay not in DECAY_MODELS:
+            raise ConfigError(f"probe.decay_model: expected one of "
+                              f"{', '.join(DECAY_MODELS)}, got {decay!r}")
+        out["decay_model"] = decay
     return out

@@ -90,7 +90,7 @@ def omega_sb_for_coupling(g, delta_b, delta_r):
     return 0.5 * g * np.sqrt(delta_b**2 - delta_r**2)
 
 
-def _check_hermitian(H, name):
+def check_hermitian(H, name):
     asym = np.linalg.norm(H - H.conj().T)
     scale = max(np.linalg.norm(H), 1.0)
     if asym > HERMITICITY_REL_TOL * scale:
@@ -105,7 +105,7 @@ def h_qrm(derived, cutoff):
     H = (0.5 * derived.omega_a * tensor(sz, eye_b)
          + derived.omega_f * tensor(np.eye(2), num)
          + derived.lam * tensor(sp + sm, a + adag))
-    _check_hermitian(H, "h_qrm")
+    check_hermitian(H, "h_qrm")
     return H
 
 
@@ -116,7 +116,7 @@ def h_red_sideband(omega_c, cutoff):
     a, adag, _ = build_boson_ops(cutoff)
     sp, sm, _, _ = build_spin_ops()
     H = 0.5 * omega_c * (tensor(sp, a) + tensor(sm, adag))
-    _check_hermitian(H, "h_red_sideband")
+    check_hermitian(H, "h_red_sideband")
     return H
 
 
@@ -127,7 +127,7 @@ def h_blue_sideband(omega_probe, cutoff):
     a, adag, _ = build_boson_ops(cutoff)
     sp, sm, _, _ = build_spin_ops()
     H = 0.5 * omega_probe * (tensor(sp, adag) + tensor(sm, a))
-    _check_hermitian(H, "h_blue_sideband")
+    check_hermitian(H, "h_blue_sideband")
     return H
 
 

@@ -97,7 +97,7 @@ class Trajectory:
     p_up: np.ndarray        # spin-up population before the second pump
     t_us: np.ndarray        # cycle * (tau + tau_d): time at the end of each cycle
     n_max_used: np.ndarray
-    final_state: np.ndarray  # |down><down| (x) rho_m
+    final_state: np.ndarray  # rho_m after the last cycle (spin pumped to |down>)
     converged: bool
     cycles_run: int
 
@@ -191,7 +191,7 @@ def _run_at_cutoff(config, drive, cutoff, n_cycles, stop_on_tolerance):
     return Trajectory(cycle=cycle, nbar=nbar[:n], p_up=pups[:n],
                       t_us=cycle * (drive.tau + config.cool.tau_d),
                       n_max_used=np.full(n, cutoff.n_max, dtype=int),
-                      final_state=fs.embed_down(rho), converged=converged,
+                      final_state=rho, converged=converged,
                       cycles_run=n)
 
 

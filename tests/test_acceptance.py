@@ -196,7 +196,7 @@ def test_criterion_10_noise_ordering():
 
 
 def test_criterion_11_probe_pipeline(relaxation_runs):
-    rho_m = fs.trace_out_spin(relaxation_runs["thermal"].final_state)
+    rho_m = relaxation_runs["thermal"].final_state
     direct = float(np.real(np.diag(rho_m)) @ np.arange(rho_m.shape[0]))
     omega = khz(20.0)
     nbar, sigma, _, _ = measure_nbar(rho_m, omega)

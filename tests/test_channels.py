@@ -5,8 +5,8 @@ from iondpt import fockspace as fs
 from iondpt.fockspace import FockCutoff
 from iondpt.model import DriveParams, CoolParams, derive, khz, h_red_sideband, h_qrm
 from iondpt import channels as ch
-from iondpt.channels import (NoiseParams, SplitStepPropagator, IntegrationError,
-                             CoolingChannel, Dissipator, make_noise_jumps,
+from iondpt.channels import (NoiseParams, SplitStepPropagator, CoolingChannel,
+                             Dissipator, make_noise_jumps,
                              lindblad_step, unitary_step, pulse_kraus,
                              apply_kraus, p_up, recoil_diffusion, recoil_kick)
 
@@ -111,10 +111,12 @@ def test_unitary_step_rejects_non_hermitian():
     rho = np.eye(2, dtype=complex) / 2
     with pytest.raises(ValueError):
         unitary_step(rho, H, 1.0)
+    with pytest.raises(ValueError):
+        lindblad_step(rho, H, [], 1.0)
 
 
 def test_lindblad_damping_oracle():
-    # jumps = {sqrt(kappa) a}: <n>(t) = n0 exp(-kappa t) to 1e-4 relative
+    # jumps = {sqrt(kappa) a}: <n>(t) = n0 exp(-kappa t) to 1e-12 relative
     n_max = 15
     a, _, num = boson_ops(n_max)
     kappa = 0.5
@@ -122,7 +124,7 @@ def test_lindblad_damping_oracle():
     for t in (0.4, 1.0, 2.0):
         out = lindblad_step(rho0, None, [np.sqrt(kappa) * a], t)
         n_t = np.real(np.trace(out @ num))
-        assert n_t == pytest.approx(3.0 * np.exp(-kappa * t), rel=1e-4)
+        assert n_t == pytest.approx(3.0 * np.exp(-kappa * t), rel=1e-12)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-9)
 
 
@@ -137,9 +139,9 @@ def test_lindblad_dephasing_oracle():
     out = lindblad_step(rho0, None, [np.sqrt(2 * gamma_m) * num], t)
     # coherence <n|rho|m> decays as exp(-gamma_m (n-m)^2 t)
     assert abs(out[0, 1]) == pytest.approx(abs(rho0[0, 1]) * np.exp(-gamma_m * t),
-                                           rel=1e-4)
+                                           rel=1e-12)
     assert abs(out[0, 2]) == pytest.approx(abs(rho0[0, 2]) * np.exp(-4 * gamma_m * t),
-                                           rel=1e-4)
+                                           rel=1e-12)
     # populations are fixed points of pure dephasing
     assert np.allclose(np.diag(out).real, np.diag(rho0).real, atol=1e-10)
 
@@ -149,13 +151,6 @@ def test_lindblad_step_no_jumps_matches_unitary():
     H = h_qrm(DERIVED, cut)
     rho = projector(cut, 0, 2)
     assert np.allclose(lindblad_step(rho, H, [], 7.0), unitary_step(rho, H, 7.0))
-
-
-def test_lindblad_step_instability_detected():
-    a, _, _ = boson_ops(10)
-    rho = np.diag([0.0] * 5 + [1.0] + [0.0] * 5).astype(complex)
-    with pytest.raises(IntegrationError):
-        lindblad_step(rho, None, [np.sqrt(100.0) * a], 2.0, dt_max=0.5)
 
 
 def test_make_noise_jumps():
@@ -351,11 +346,10 @@ def test_amplitude_damping_matches_lindblad_step():
     a, _, _ = fs.build_boson_ops(cut)
     rho = 0.5 * random_state(cut.n_max, seed=7) + 0.5 * fs.thermal_state(
         3.0, cut, eps=1e-3)
-    # RK4 at the default 0.1 us step is itself off by 4.5e-10 here
     ref = lindblad_step(rho, None, [np.sqrt(THETA**2 / COOL.tau_c) * a],
-                        COOL.tau_c, dt_max=0.01)
+                        COOL.tau_c)
     out = pulse_map("lindblad", THETA, cut)(rho)
-    assert np.abs(out - ref).max() < 1e-9
+    assert np.abs(out - ref).max() < 1e-12
 
 
 def test_split_step_matches_lindblad_step():
@@ -367,12 +361,14 @@ def test_split_step_matches_lindblad_step():
     t = 20.0
     ref = lindblad_step(rho, H, lifted(jumps), t)
     out = SplitStepPropagator(H, jumps, t).apply(rho)
-    assert np.abs(out - ref).max() < 1e-5
-    # a diagonal generator, as a dense input
+    # the Strang splitting error of the 0.5 us slice: 3.7e-6 measured
+    assert 1e-6 < np.abs(out - ref).max() < 1e-5
+    # a diagonal generator, as a dense input, commutes with the phase-
+    # covariant dissipator, so the split is exact
     Hd = np.diag(np.diag(H)).astype(complex)
     ref_d = lindblad_step(rho, Hd, lifted(jumps), t)
     out_d = SplitStepPropagator(Hd, jumps, t).apply(rho)
-    assert np.abs(out_d - ref_d).max() < 1e-5
+    assert np.abs(out_d - ref_d).max() < 1e-12
 
 
 def test_split_step_without_jumps_is_unitary():
@@ -410,7 +406,7 @@ def test_dissipator_matches_lindblad_step(name):
     jumps = dissipator_jump_sets(cut)[name]
     rho = random_state(cut.n_max, seed=3)
     t = 4.0
-    ref = lindblad_step(rho, None, jumps, t, dt_max=0.002)
+    ref = lindblad_step(rho, None, jumps, t)
     assert np.abs(Dissipator(jumps, t).apply(rho) - ref).max() <= 1e-12
 
 
@@ -421,7 +417,7 @@ def test_recoil_kick_matches_lindblad_step():
     rho = random_state(cut.n_max, seed=6)
     noise = NoiseParams(recoil_enabled=True, recoil_dn=0.04, photons_per_pump=2)
     out = recoil_kick(rho, 0.5, noise, recoil_diffusion(cut))
-    ref = lindblad_step(rho, None, [0.2 * adag, 0.2 * a], 1.0, dt_max=0.002)
+    ref = lindblad_step(rho, None, [0.2 * adag, 0.2 * a], 1.0)
     assert np.abs(out - ref).max() <= 1e-12
 
 
@@ -441,8 +437,8 @@ def test_dissipator_trace_and_positivity():
             out = diss.apply(rho)
             assert abs(np.trace(out) - 1.0) <= 1e-12
             assert np.linalg.eigvalsh(out)[0] > -1e-12
-        # the composite map is I (x) D: the same as the RK4 reference on lifted jumps
-        ref = lindblad_step(composite, None, lifted(jumps), 4.0, dt_max=0.002)
+        # the composite map is I (x) D: the exact flow of the lifted jumps
+        ref = lindblad_step(composite, None, lifted(jumps), 4.0)
         assert np.abs(diss.apply(composite) - ref).max() <= 1e-12
 
 

@@ -178,3 +178,13 @@ def test_probe_demo(base_config, tmp_path):
     assert abs(report["nbar_fit"] - report["nbar_direct"]) < max(0.1, 2 * sigma)
     rows = read_rows(out / "demo_probe.csv")
     assert rows[0][:2] == ["t_us", "p_up"]
+
+
+@pytest.mark.parametrize("setting", ["omega_probe_khz: 0.0",
+                                     "omega_probe_khz: -20.0", "k_max: -3",
+                                     "decay_model: foo"])
+def test_probe_demo_rejects_bad_probe_settings(tmp_path, setting):
+    cfg = tmp_path / "demo.yaml"
+    cfg.write_text(BASE_YAML + f"probe:\n  {setting}\n")
+    assert main(["probe-demo", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2

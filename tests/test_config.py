@@ -131,6 +131,14 @@ def test_probe_spec():
         probe_spec(minimal_tree(probe={"shots": -5}))
 
 
+def test_probe_spec_rejects_bad_settings():
+    for probe in ({"omega_probe_khz": 0.0}, {"omega_probe_khz": -20.0},
+                  {"k_max": -3}, {"decay_model": "foo"}):
+        with pytest.raises(ConfigError, match=next(iter(probe))):
+            probe_spec(minimal_tree(probe=probe))
+    assert probe_spec(minimal_tree(probe={"k_max": 0}))["k_max"] == 0
+
+
 def test_load_tree_errors(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("drive: [unbalanced\n")
