@@ -2,7 +2,6 @@
 exponential saturation, saturation extrapolation, critical power law and
 log-log slopes."""
 
-import csv as _csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -13,7 +12,8 @@ from scipy.optimize import least_squares
 
 # not called here: the benchmark tracer (perfbench/spans.py) wraps this name
 from .fockspace import trace_out_spin
-from .probe import FitError, fit_covariance, measure_nbar
+from .probe import (FitError, fit_covariance, measure_nbar, read_csv,
+                    write_csv)
 from .protocol import (run, config_with_coupling, config_with_ratio,
                        SimulationDiverged)
 
@@ -120,18 +120,24 @@ def cooling_scan(base_config, omega_c_values, g_values, threads=1):
     return results
 
 
-def _least_squares_fit(model, residuals, x0, names, bounds, window=()):
-    sol = least_squares(residuals, x0, bounds=bounds)
-    if not sol.success:
-        raise FitError(f"{model} fit did not converge: {sol.message}")
-    cov = fit_covariance(sol.fun, sol.jac)
+def _fit_result(model, names, values, cov, residuals, window=()):
     errs = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FitResult(model=model,
-                     params=dict(zip(names, map(float, sol.x))),
+                     params=dict(zip(names, map(float, values))),
                      errors=dict(zip(names, map(float, errs))),
                      cov=cov,
-                     residual_rms=float(np.sqrt(np.mean(sol.fun**2))),
+                     residual_rms=float(np.sqrt(np.mean(residuals**2))),
                      window=window)
+
+
+def _least_squares_fit(model, residuals, x0, names, bounds, window=(),
+                       **options):
+    """Bounded least_squares fit; options go to scipy's least_squares."""
+    sol = least_squares(residuals, x0, bounds=bounds, **options)
+    if not sol.success:
+        raise FitError(f"{model} fit did not converge: {sol.message}")
+    return _fit_result(model, names, sol.x, fit_covariance(sol.fun, sol.jac),
+                       sol.fun, window)
 
 
 def fit_exponential_saturation(trajectory_or_xy):
@@ -158,20 +164,6 @@ def fit_exponential_saturation(trajectory_or_xy):
         bounds=([-np.inf, 1e-9, 0.0], [np.inf, np.inf, np.inf]))
 
 
-def _saturation_lsq(x, y, x0):
-    def residuals(p):
-        ns, b, c = p
-        return ns - b * x ** (-c) - y
-
-    sol = least_squares(residuals, x0,
-                        bounds=([0.0, -np.inf, 1e-3], [np.inf, np.inf, 5.0]),
-                        x_scale="jac", max_nfev=5000)
-    if not sol.success:
-        raise FitError(f"saturation extrapolation failed: {sol.message}")
-    cov = fit_covariance(sol.fun, sol.jac)
-    return sol.x, float(np.sqrt(max(cov[0, 0], 0.0)))
-
-
 def extrapolate_saturation(scan):
     """Extrapolate nbar(R) = N_s - b R^(-c) to R -> infinity.
 
@@ -190,14 +182,26 @@ def extrapolate_saturation(scan):
     if x.size < 4:
         raise FitError("need at least 4 R points in the saturating regime")
 
+    def tail_fit(n, x0):
+        """N_s and its 1-S.D. error from the last n points."""
+        xs, ys = x[-n:], y[-n:]
+
+        def residuals(p):
+            ns, b, c = p
+            return ns - b * xs ** (-c) - ys
+
+        fit = _least_squares_fit(
+            "saturation_extrapolation", residuals, x0, ["N_s", "b", "c"],
+            bounds=([0.0, -np.inf, 1e-3], [np.inf, np.inf, 5.0]),
+            x_scale="jac", max_nfev=5000)
+        return fit.params["N_s"], fit.errors["N_s"]
+
     span = float(y.max() - y.min())
     d = np.diff(y)
     small = max(1e-12, 1e-3 * span)
     if span < 1e-12 or abs(d[-1]) <= small or abs(d[-2]) <= small:
         # Flat tail: any window works, fit everything.
-        ns0 = float(y[-1])
-        sol, err = _saturation_lsq(x, y, [ns0, max(span, 1e-6), 1.0])
-        return float(sol[0]), err
+        return tail_fit(x.size, [float(y[-1]), max(span, 1e-6), 1.0])
 
     ratio = d[-1] / d[-2]
     if ratio >= 1.0 or ratio <= 0.0:
@@ -224,15 +228,13 @@ def extrapolate_saturation(scan):
 
     x0 = [ns_tail, b_tail, c_tail]
     if window >= 4:
-        sol, err = _saturation_lsq(x[-window:], y[-window:], x0)
-        return float(sol[0]), err
+        return tail_fit(window, x0)
 
     # Three-point window: the model interpolates the tail exactly; report
     # the shift from widening the window by one point as the error.
-    sol3, _ = _saturation_lsq(x[-3:], y[-3:], x0)
-    sol4, _ = _saturation_lsq(x[-4:], y[-4:], x0)
-    err = max(abs(float(sol3[0]) - float(sol4[0])), small)
-    return float(sol3[0]), err
+    ns3, _ = tail_fit(3, x0)
+    ns4, _ = tail_fit(4, x0)
+    return ns3, max(abs(ns3 - ns4), small)
 
 
 def fit_critical_power_law(points, g_window=None):
@@ -256,28 +258,25 @@ def fit_critical_power_law(points, g_window=None):
         logc, gc, nu = p
         return logc - nu * np.log(gc - g) - np.log(ns)
 
-    x0 = [float(np.log(ns[-1]) + np.log(0.02)), gmax + 0.02, 1.0]
-    eps = 1e-4
-    sol = least_squares(residuals, x0,
-                        bounds=([-np.inf, gmax + eps, 1e-3],
-                                [np.inf, gmax + 2.0, 10.0]))
-    if not sol.success or sol.x[1] > gmax + 1.9:
+    def fit(x0, gc_max):
+        # fitted in log C; converted to C below
+        return _least_squares_fit(
+            "critical_power_law", residuals, x0, ["C", "g_c", "nu"],
+            bounds=([-np.inf, gmax + 1e-4, 1e-3], [np.inf, gc_max, 10.0]),
+            window=(float(g.min()), gmax))
+
+    logc0 = float(np.log(ns[-1]) + np.log(0.02))
+    try:
+        result = fit([logc0, gmax + 0.02, 1.0], gmax + 2.0)
+    except FitError:
+        result = None
+    if result is None or result.params["g_c"] > gmax + 1.9:
         # Bounded retry from a closer critical point before giving up.
-        sol = least_squares(residuals, [x0[0], gmax + 0.005, 1.0],
-                            bounds=([-np.inf, gmax + eps, 1e-3],
-                                    [np.inf, gmax + 0.5, 10.0]))
-        if not sol.success:
-            raise FitError(f"critical fit degenerate: {sol.message}")
-    cov = fit_covariance(sol.fun, sol.jac)
-    errs = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    c_val = float(np.exp(sol.x[0]))
-    return FitResult(
-        model="critical_power_law",
-        params={"C": c_val, "g_c": float(sol.x[1]), "nu": float(sol.x[2])},
-        errors={"C": c_val * float(errs[0]), "g_c": float(errs[1]),
-                "nu": float(errs[2])},
-        cov=cov, residual_rms=float(np.sqrt(np.mean(sol.fun**2))),
-        window=(float(g.min()), float(g.max())))
+        result = fit([logc0, gmax + 0.005, 1.0], gmax + 0.5)
+    c_val = float(np.exp(result.params["C"]))
+    result.params["C"] = c_val
+    result.errors["C"] *= c_val
+    return result
 
 
 def crossover_midpoint(scan, level=None):
@@ -310,31 +309,21 @@ def fit_loglog_slope(points):
         raise FitError("log-log slope requires positive data")
     lx, ly = np.log(pts[:, 0]), np.log(pts[:, 1])
     coeffs, cov = np.polyfit(lx, ly, 1, cov=True)
-    resid = ly - np.polyval(coeffs, lx)
-    return FitResult(
-        model="loglog_slope",
-        params={"slope": float(coeffs[0]), "intercept": float(coeffs[1])},
-        errors={"slope": float(np.sqrt(cov[0, 0])),
-                "intercept": float(np.sqrt(cov[1, 1]))},
-        cov=cov, residual_rms=float(np.sqrt(np.mean(resid**2))),
-        window=(float(pts[:, 0].min()), float(pts[:, 0].max())))
+    return _fit_result("loglog_slope", ["slope", "intercept"], coeffs, cov,
+                       ly - np.polyval(coeffs, lx),
+                       (float(pts[:, 0].min()), float(pts[:, 0].max())))
 
 
 def scan_to_csv(scan, path):
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow([scan.axis, "nbar", "sigma", "converged", "cycles",
-                         "n_max"])
-        for i in range(scan.values.size):
-            writer.writerow([f"{scan.values[i]:.12g}", f"{scan.nbar[i]:.12g}",
-                             f"{scan.sigma[i]:.12g}",
-                             int(scan.converged[i]), int(scan.cycles[i]),
-                             int(scan.n_max[i])])
+    write_csv(path, [scan.axis, "nbar", "sigma", "converged", "cycles", "n_max"],
+              ([f"{scan.values[i]:.12g}", f"{scan.nbar[i]:.12g}",
+                f"{scan.sigma[i]:.12g}", int(scan.converged[i]),
+                int(scan.cycles[i]), int(scan.n_max[i])]
+               for i in range(scan.values.size)))
 
 
 def scan_from_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(_csv.reader(fh))
+    rows = read_csv(path)
     if not rows or len(rows[0]) < 6:
         raise ValueError(f"{path}: expected scan CSV header with 6 columns")
     axis = rows[0][0]

@@ -27,6 +27,10 @@ SLICE_US = 0.5
 # with k = 2pi/369.5nm, m = 171 u.  Phonons per (absorbed photon number)^2.
 RECOIL_DN_DEFAULT = 1.212e-3
 
+# CoolingChannel pulse kinds: the exact sideband pulse or the linearized
+# amplitude-damping channel
+CHANNEL_MODES = ("exact", "lindblad")
+
 
 class IntegrationError(RuntimeError):
     """Unstable time integration.  Nothing in iondpt raises it, since
@@ -94,6 +98,8 @@ def lindblad_step(rho, H, jumps, t):
     With row-major vec and K = -iH - (1/2) sum L^dag L, the generator on
     vec(rho) is kron(K, I) + kron(I, conj K) + sum kron(L, conj L), and
     expm_multiply applies its exponential.  H may be None and jumps empty.
+    The norm estimates of expm_multiply draw from numpy's global random
+    state; the caller's state is restored afterwards.
     """
     from scipy.sparse.linalg import expm_multiply
     if t < 0:
@@ -109,7 +115,11 @@ def lindblad_step(rho, H, jumps, t):
         gen = gen + sp.kron(L, L.conj())
     eye = sp.identity(dim, format="csr")
     gen = gen + sp.kron(K, eye) + sp.kron(eye, K.conj())
-    return expm_multiply(t * gen, rho.reshape(-1)).reshape(rho.shape)
+    rng_state = np.random.get_state()
+    try:
+        return expm_multiply(t * gen, rho.reshape(-1)).reshape(rho.shape)
+    finally:
+        np.random.set_state(rng_state)
 
 
 def _offset_generators(jumps):
@@ -278,7 +288,7 @@ class CoolingChannel:
     """
 
     def __init__(self, cool, derived, cutoff, noise=None, mode="exact"):
-        if mode not in ("exact", "lindblad"):
+        if mode not in CHANNEL_MODES:
             raise ValueError(f"unknown channel mode {mode!r}")
         self.noise = noise if noise is not None else NoiseParams()
         noise_jumps = make_noise_jumps(self.noise, cutoff)

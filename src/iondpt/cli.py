@@ -6,7 +6,6 @@ abort, 4 fit failure.
 """
 
 import argparse
-import csv as _csv
 import hashlib
 import json
 import os
@@ -17,8 +16,9 @@ import numpy as np
 
 from . import __version__
 from . import analysis, probe
-from .config import (ConfigError, load_tree, experiment_from_tree, scan_spec,
-                     probe_spec)
+from .config import (CHANNEL_MODES, NOISE_MODES, ConfigError, load_tree,
+                     experiment_from_tree, scan_spec, probe_spec,
+                     probe_frequency)
 from .model import khz
 from .protocol import SimulationDiverged, run
 
@@ -58,27 +58,18 @@ def _write_manifest(out_dir, stem, tree, seed, started, outputs):
     return path
 
 
-def _write_trajectory_csv(traj, path):
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["cycle", "nbar", "p_up", "t_us", "n_max"])
-        for i in range(traj.cycles_run):
-            writer.writerow([int(traj.cycle[i]), f"{traj.nbar[i]:.12g}",
-                             f"{traj.p_up[i]:.12g}", f"{traj.t_us[i]:.12g}",
-                             int(traj.n_max_used[i])])
+def _read_tree(path):
+    if not os.path.isfile(path):
+        raise CliError(f"config file not found: {path}", EXIT_CONFIG)
+    return load_tree(path)
 
 
 def _load_config(args):
     if not args.config:
         raise CliError("--config is required for this subcommand", EXIT_CONFIG)
-    if not os.path.isfile(args.config):
-        raise CliError(f"config file not found: {args.config}", EXIT_CONFIG)
-    try:
-        tree = load_tree(args.config)
-        config = experiment_from_tree(tree, channel=args.channel,
-                                      noise_mode=args.noise, seed=args.seed)
-    except ConfigError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
+    tree = _read_tree(args.config)
+    config = experiment_from_tree(tree, channel=args.channel,
+                                  noise_mode=args.noise, seed=args.seed)
     return tree, config
 
 
@@ -89,13 +80,14 @@ def _stem(args):
 def cmd_run(args):
     tree, config = _load_config(args)
     started = datetime.now(timezone.utc).isoformat()
-    try:
-        traj = run(config)
-    except SimulationDiverged as exc:
-        raise CliError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc
+    traj = run(config)
     stem = _stem(args)
     csv_path = os.path.join(args.out_dir, f"{stem}_trajectory.csv")
-    _write_trajectory_csv(traj, csv_path)
+    probe.write_csv(csv_path, ["cycle", "nbar", "p_up", "t_us", "n_max"],
+                    ([int(traj.cycle[i]), f"{traj.nbar[i]:.12g}",
+                      f"{traj.p_up[i]:.12g}", f"{traj.t_us[i]:.12g}",
+                      int(traj.n_max_used[i])]
+                     for i in range(traj.cycles_run)))
     outputs = {"trajectory": csv_path}
 
     if traj.cycles_run >= 10:
@@ -122,31 +114,24 @@ def cmd_run(args):
 
 def cmd_scan(args):
     tree, config = _load_config(args)
-    try:
-        spec = scan_spec(tree)
-        popts = probe_spec(tree)
-    except ConfigError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
+    spec = scan_spec(tree)
+    popts = probe_spec(tree)
     readout = "probe" if args.probe else "direct"
-    shots = popts.pop("shots", None)
-    if shots is not None:
-        popts["shots"] = shots
+    if args.probe:
+        popts["omega_probe"] = probe_frequency(popts, config.cool)
     started = datetime.now(timezone.utc).isoformat()
     threads = args.threads or (os.cpu_count() or 1)
-    try:
-        if spec["axis"] == "g":
-            scans = [analysis.g_scan(config, spec["values"], readout=readout,
-                                     probe_opts=popts, threads=threads)]
-        elif spec["axis"] == "R":
-            scans = [analysis.r_scan(config, spec["values"], spec["fixed_g"],
-                                     readout=readout, probe_opts=popts,
-                                     threads=threads)]
-        else:
-            omega_values = [khz(f) for f in spec["omega_c_khz"]]
-            scans = analysis.cooling_scan(config, omega_values, spec["values"],
-                                          threads=threads)
-    except SimulationDiverged as exc:
-        raise CliError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc
+    if spec["axis"] == "g":
+        scans = [analysis.g_scan(config, spec["values"], readout=readout,
+                                 probe_opts=popts, threads=threads)]
+    elif spec["axis"] == "R":
+        scans = [analysis.r_scan(config, spec["values"], spec["fixed_g"],
+                                 readout=readout, probe_opts=popts,
+                                 threads=threads)]
+    else:
+        omega_values = [khz(f) for f in spec["omega_c_khz"]]
+        scans = analysis.cooling_scan(config, omega_values, spec["values"],
+                                      threads=threads)
 
     stem = _stem(args)
     outputs = {}
@@ -164,24 +149,41 @@ def cmd_scan(args):
 
 
 def _read_xy_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(_csv.reader(fh))
-    if not rows or len(rows) < 2:
-        raise CliError(f"{path}: empty or header-only CSV", EXIT_CONFIG)
+    rows = probe.read_csv(path)
+    if len(rows) < 2:
+        raise ValueError("empty or header-only CSV")
     try:
-        data = np.array([[float(row[0]), float(row[1])] for row in rows[1:]])
+        return np.array([[float(row[0]), float(row[1])] for row in rows[1:]])
     except (ValueError, IndexError) as exc:
-        raise CliError(f"{path}: expected numeric two-column rows: {exc}",
-                       EXIT_CONFIG) from exc
-    return rows[0], data
+        raise ValueError(f"expected numeric two-column rows: {exc}") from exc
 
 
 def cmd_fit(args):
     if not os.path.isfile(args.data):
         raise CliError(f"data file not found: {args.data}", EXIT_CONFIG)
+    if args.model == "populations":
+        if not args.config:
+            raise CliError("populations fit needs --config for the probe "
+                           "Rabi frequency", EXIT_CONFIG)
+        popts = probe_spec(_read_tree(args.config))
+        if popts.get("omega_probe") is None:
+            raise CliError("config probe.omega_probe_khz is required for "
+                           "the populations fit", EXIT_CONFIG)
     try:
-        if args.model in ("saturation", "loglog", "power_law_critical"):
-            _, data = _read_xy_csv(args.data)
+        if args.model == "populations":
+            scan = probe.scan_from_csv(args.data, popts["omega_probe"])
+            fit = probe.fit_populations(
+                scan, popts.get("k_max", 8),
+                decay_model=popts.get("decay_model", "sqrt"))
+            nbar, sigma = probe.nbar_from_fit(fit)
+            report = {"model": "populations",
+                      "params": {"nbar": nbar,
+                                 "gamma0": fit.gamma0,
+                                 "p": [float(v) for v in fit.p]},
+                      "errors": {"nbar": sigma},
+                      "residual_rms": fit.residual_rms}
+        else:
+            data = _read_xy_csv(args.data)
             if args.model == "saturation":
                 fit = analysis.fit_exponential_saturation((data[:, 0], data[:, 1]))
             elif args.model == "loglog":
@@ -190,32 +192,8 @@ def cmd_fit(args):
                 fit = analysis.fit_critical_power_law(data)
             report = {"model": fit.model, "params": fit.params,
                       "errors": fit.errors, "residual_rms": fit.residual_rms}
-        else:  # populations
-            if not args.config:
-                raise CliError("populations fit needs --config for the probe "
-                               "Rabi frequency", EXIT_CONFIG)
-            tree = load_tree(args.config)
-            popts = probe_spec(tree)
-            omega = popts.get("omega_probe")
-            if omega is None:
-                raise CliError("config probe.omega_probe_khz is required for "
-                               "the populations fit", EXIT_CONFIG)
-            scan = probe.scan_from_csv(args.data, omega)
-            k_max = popts.get("k_max", 8)
-            fit = probe.fit_populations(scan, k_max,
-                                        decay_model=popts.get("decay_model", "sqrt"))
-            nbar, sigma = probe.nbar_from_fit(fit)
-            report = {"model": "populations",
-                      "params": {"nbar": nbar,
-                                 "gamma0": fit.gamma0,
-                                 "p": [float(v) for v in fit.p]},
-                      "errors": {"nbar": sigma},
-                      "residual_rms": fit.residual_rms}
-    except probe.FitError as exc:
-        raise CliError(f"fit failed: {exc}", EXIT_FIT) from exc
-    except ConfigError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
     except ValueError as exc:
+        # a malformed data file; the config was read above
         raise CliError(f"{args.data}: {exc}", EXIT_CONFIG) from exc
 
     out_path = os.path.join(args.out_dir,
@@ -231,26 +209,16 @@ def cmd_fit(args):
 
 def cmd_probe_demo(args):
     tree, config = _load_config(args)
-    try:
-        popts = probe_spec(tree)
-    except ConfigError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
+    popts = probe_spec(tree)
+    popts["omega_probe"] = probe_frequency(popts, config.cool)
     started = datetime.now(timezone.utc).isoformat()
-    try:
-        traj = run(config)
-    except SimulationDiverged as exc:
-        raise CliError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc
+    traj = run(config)
 
     rho_m = traj.final_state
     number = np.arange(rho_m.shape[0])
     nbar_direct = float(np.real(np.diag(rho_m)) @ number)
-    omega = popts.pop("omega_probe", config.cool.omega_c)
-    shots = popts.pop("shots", None)
-    try:
-        nbar_fit, sigma, fit, scan = probe.measure_nbar(
-            rho_m, omega, shots=shots, seed=config.seed, **popts)
-    except probe.FitError as exc:
-        raise CliError(f"fit failed: {exc}", EXIT_FIT) from exc
+    nbar_fit, sigma, fit, scan = probe.measure_nbar(rho_m, seed=config.seed,
+                                                    **popts)
 
     stem = _stem(args)
     scan_path = os.path.join(args.out_dir, f"{stem}_probe.csv")
@@ -283,10 +251,8 @@ def build_parser():
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--channel", choices=["exact", "lindblad"], default=None)
-        p.add_argument("--noise",
-                       choices=["off", "decoherence", "decoherence+recoil"],
-                       default=None)
+        p.add_argument("--channel", choices=CHANNEL_MODES, default=None)
+        p.add_argument("--noise", choices=NOISE_MODES, default=None)
 
     p_run = sub.add_parser("run", help="simulate one trajectory")
     common(p_run)
@@ -322,8 +288,15 @@ def main(argv=None):
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        message, code = str(exc), exc.code
+    except ConfigError as exc:
+        message, code = str(exc), EXIT_CONFIG
+    except SimulationDiverged as exc:
+        message, code = f"simulation aborted: {exc}", EXIT_SIMULATION
+    except probe.FitError as exc:
+        message, code = f"fit failed: {exc}", EXIT_FIT
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

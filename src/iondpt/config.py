@@ -9,11 +9,16 @@ converters of model.
 import numpy as np
 import yaml
 
-from .channels import NoiseParams
+from .channels import CHANNEL_MODES, NoiseParams
 from .model import DriveParams, CoolParams, khz
 from .probe import DECAY_MODELS
 from .protocol import (ExperimentConfig, InitialState, Convergence,
                        CutoffPolicy)
+
+
+# noise overrides: none, the file's decoherence rates without recoil, or
+# those rates with recoil
+NOISE_MODES = ("off", "decoherence", "decoherence+recoil")
 
 
 class ConfigError(ValueError):
@@ -138,22 +143,17 @@ def load_tree(path):
 def experiment_from_tree(tree, channel=None, noise_mode=None, seed=None):
     """Build an ExperimentConfig; CLI overrides win over file values."""
     channel_mode = channel or tree.get("channel", "exact")
-    if channel_mode not in ("exact", "lindblad"):
-        raise ConfigError(f"channel: expected exact or lindblad, got {channel_mode!r}")
+    if channel_mode not in CHANNEL_MODES:
+        raise ConfigError(f"channel: expected {' or '.join(CHANNEL_MODES)}, "
+                          f"got {channel_mode!r}")
     noise = _noise(tree)
-    if noise_mode is not None:
-        if noise_mode == "off":
-            noise = NoiseParams()
-        elif noise_mode == "decoherence":
-            noise = NoiseParams(heating_rate=noise.heating_rate,
-                                dephasing_rate=noise.dephasing_rate,
-                                recoil_enabled=False)
-        elif noise_mode == "decoherence+recoil":
-            noise = NoiseParams(heating_rate=noise.heating_rate,
-                                dephasing_rate=noise.dephasing_rate,
-                                recoil_enabled=True)
-        else:
-            raise ConfigError(f"noise mode: unknown {noise_mode!r}")
+    if noise_mode is not None and noise_mode not in NOISE_MODES:
+        raise ConfigError(f"noise mode: unknown {noise_mode!r}")
+    if noise_mode == "off":
+        noise = NoiseParams()
+    elif noise_mode is not None:
+        from dataclasses import replace
+        noise = replace(noise, recoil_enabled=noise_mode == "decoherence+recoil")
     conv, max_cycles = _convergence(tree)
     use_seed = seed if seed is not None else int(tree.get("seed", 0))
     jitter = _number(tree, "jitter_sigma_khz", "config", default=0.0)
@@ -230,3 +230,13 @@ def probe_spec(tree):
                               f"{', '.join(DECAY_MODELS)}, got {decay!r}")
         out["decay_model"] = decay
     return out
+
+
+def probe_frequency(popts, cool):
+    """Probe Rabi frequency (rad/us) for a probe_spec: probe.omega_probe_khz,
+    else the cooling Rabi frequency; rejects a value that is not > 0."""
+    omega = popts.get("omega_probe", cool.omega_c)
+    if not omega > 0:
+        raise ConfigError(f"probe Rabi frequency must be > 0, got {omega}: "
+                          f"set probe.omega_probe_khz")
+    return omega

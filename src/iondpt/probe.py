@@ -115,6 +115,20 @@ def fit_covariance(residuals, jac):
     return sigma2 * np.linalg.pinv(jac.T @ jac)
 
 
+def write_csv(path, header, rows):
+    """Write a header row and then the data rows to a CSV file."""
+    with open(path, "w", newline="") as fh:
+        writer = _csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path):
+    """Every row of a CSV file, header first, as lists of strings."""
+    with open(path, newline="") as fh:
+        return list(_csv.reader(fh))
+
+
 def fit_populations(scan, k_max, decay_model="sqrt", max_nfev=2000):
     """Constrained least-squares fit of Fock populations and a decay scale.
 
@@ -202,21 +216,15 @@ def measure_nbar(rho_m, omega_probe, shots=None, seed=0, k_max=None,
 
 
 def scan_to_csv(scan, path):
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        if scan.shots is None:
-            writer.writerow(["t_us", "p_up"])
-            for t, p in zip(scan.times, scan.p_up):
-                writer.writerow([f"{t:.12g}", f"{p:.12g}"])
-        else:
-            writer.writerow(["t_us", "p_up", "shots"])
-            for t, p in zip(scan.times, scan.p_up):
-                writer.writerow([f"{t:.12g}", f"{p:.12g}", scan.shots])
+    header, shots = ["t_us", "p_up"], []
+    if scan.shots is not None:
+        header, shots = ["t_us", "p_up", "shots"], [scan.shots]
+    write_csv(path, header, ([f"{t:.12g}", f"{p:.12g}"] + shots
+                             for t, p in zip(scan.times, scan.p_up)))
 
 
 def scan_from_csv(path, omega_probe):
-    with open(path, newline="") as fh:
-        rows = list(_csv.reader(fh))
+    rows = read_csv(path)
     if not rows or rows[0][0] != "t_us":
         raise ValueError(f"{path}: expected header starting with t_us")
     has_shots = len(rows[0]) > 2 and rows[0][2] == "shots"

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field, replace
 from . import fockspace as fs
 from .fockspace import FockCutoff
 from .model import DriveParams, CoolParams, derive, h_qrm
-from .channels import (NoiseParams, CoolingChannel, SplitStepPropagator,
-                       make_noise_jumps, unitary_propagator)
+from .channels import (CHANNEL_MODES, NoiseParams, CoolingChannel,
+                       SplitStepPropagator, make_noise_jumps,
+                       unitary_propagator)
 
 
 class SimulationDiverged(RuntimeError):
@@ -75,7 +76,7 @@ class ExperimentConfig:
     cool: CoolParams
     noise: NoiseParams = field(default_factory=NoiseParams)
     initial: InitialState = field(default_factory=InitialState)
-    channel_mode: str = "exact"    # "exact" or "lindblad"
+    channel_mode: str = "exact"    # one of CHANNEL_MODES
     max_cycles: int = 200
     convergence: Convergence = field(default_factory=Convergence)
     cutoff: CutoffPolicy = field(default_factory=CutoffPolicy)
@@ -86,7 +87,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
-        if self.channel_mode not in ("exact", "lindblad"):
+        if self.channel_mode not in CHANNEL_MODES:
             raise ValueError(f"unknown channel mode {self.channel_mode!r}")
 
 

@@ -148,6 +148,16 @@ def test_fit_critical_power_law_window_and_errors():
         fit_critical_power_law(np.column_stack([g, -ns]))
 
 
+def test_fit_critical_power_law_bounded_retry():
+    # flat N_s has no critical point: the first fit runs past gmax + 1.9
+    # and the retry from a closer g_c must stay within its bound gmax + 0.5
+    g = np.linspace(1.0, 1.2, 6)
+    fit = fit_critical_power_law(np.column_stack([g, np.full(g.size, 2.0)]))
+    assert fit.params["g_c"] <= g.max() + 0.5
+    assert list(fit.params) == ["C", "g_c", "nu"]
+    assert list(fit.errors) == ["C", "g_c", "nu"]
+
+
 def test_fit_loglog_slope_exact_and_oracle():
     x = np.array([50, 100, 200, 400, 800.0])
     y = 2.0 * x ** 0.531

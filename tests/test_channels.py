@@ -126,6 +126,14 @@ def test_lindblad_damping_oracle():
         n_t = np.real(np.trace(out @ num))
         assert n_t == pytest.approx(3.0 * np.exp(-kappa * t), rel=1e-12)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-9)
+    # a damping strong enough that expm_multiply estimates norms, which
+    # draws from numpy's global random state: the caller's state stays
+    state = np.random.get_state()
+    out = lindblad_step(rho0, None, [np.sqrt(100.0) * a], 20.0)
+    assert all(np.array_equal(x, y)
+               for x, y in zip(state, np.random.get_state()))
+    assert np.real(np.trace(out @ num)) == pytest.approx(0.0, abs=1e-12)
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lindblad_dephasing_oracle():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from iondpt import analysis, cli
 from iondpt.cli import main
 
 BASE_YAML = """\
@@ -161,11 +162,15 @@ def test_fit_saturation_round_trip(tmp_path):
     assert report["params"]["B"] == pytest.approx(3.2, abs=1e-6)
 
 
-def test_fit_populations_requires_config(tmp_path):
+def test_fit_populations_requires_config(tmp_path, capsys):
     data = tmp_path / "scan.csv"
     data.write_text("t_us,p_up\n1,0.1\n2,0.2\n")
     assert main(["fit", str(data), "--model", "populations",
                  "--out-dir", str(tmp_path)]) == 2
+    missing = tmp_path / "missing.yaml"
+    assert main(["fit", str(data), "--model", "populations", "--config",
+                 str(missing), "--out-dir", str(tmp_path)]) == 2
+    assert f"config file not found: {missing}" in capsys.readouterr().err
 
 
 def test_probe_demo(base_config, tmp_path):
@@ -178,6 +183,24 @@ def test_probe_demo(base_config, tmp_path):
     assert abs(report["nbar_fit"] - report["nbar_direct"]) < max(0.1, 2 * sigma)
     rows = read_rows(out / "demo_probe.csv")
     assert rows[0][:2] == ["t_us", "p_up"]
+
+
+@pytest.mark.parametrize("command", [["probe-demo"], ["scan", "--probe"]])
+def test_probe_frequency_from_zero_cooling_rabi_rejected(tmp_path, monkeypatch,
+                                                        command):
+    # without probe.omega_probe_khz the probe falls back to cool.omega_c_khz,
+    # which is checked before any cycle runs
+    def no_cycles(config):
+        raise AssertionError("a cycle ran")
+
+    monkeypatch.setattr(cli, "run", no_cycles)
+    monkeypatch.setattr(analysis, "run", no_cycles)
+    cfg = tmp_path / "demo.yaml"
+    cfg.write_text(BASE_YAML.replace("omega_c_khz: 20.0", "omega_c_khz: 0.0")
+                   + "scan:\n  axis: g\n  values: [0.8, 1.2]\n")
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(cfg), "--threads", "1",
+                           "--out-dir", str(out)]) == 2
 
 
 @pytest.mark.parametrize("setting", ["omega_probe_khz: 0.0",
