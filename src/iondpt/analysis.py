@@ -62,15 +62,21 @@ def _steady_point(args):
     nbar = traj.steady_nbar(config.convergence.window)
     sigma = np.nan
     if readout == "probe":
-        opts = dict(probe_opts or {})
-        omega_probe = opts.pop("omega_probe", config.cool.omega_c)
-        nbar, sigma, _, _ = measure_nbar(traj.final_state, omega_probe,
-                                         seed=config.seed, **opts)
+        nbar, sigma, _, _ = measure_nbar(traj.final_state, seed=config.seed,
+                                         **probe_opts)
     return dict(nbar=nbar, sigma=sigma, converged=traj.converged,
                 cycles=traj.cycles_run, n_max=int(traj.n_max_used[-1]))
 
 
-def _dispatch(jobs, threads):
+def _dispatch(base_config, configs, readout, probe_opts, threads):
+    """Steady-state point per config.  A probe readout resolves its
+    frequency first, so a bad one is rejected before any point runs."""
+    if readout == "probe":
+        from .config import probe_frequency   # keeps yaml out of `import iondpt`
+        probe_opts = dict(probe_opts or {})
+        probe_opts["omega_probe"] = probe_frequency(probe_opts,
+                                                    base_config.cool)
+    jobs = [(config, readout, probe_opts) for config in configs]
     if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_steady_point, jobs))
@@ -93,9 +99,9 @@ def g_scan(base_config, g_values, readout="direct", probe_opts=None, threads=1):
     g_values = np.asarray(g_values, dtype=float)
     if np.any(g_values <= 0):
         raise ValueError("g values must be > 0")
-    jobs = [(config_with_coupling(base_config, g), readout, probe_opts)
-            for g in g_values]
-    return _collect("g", g_values, _dispatch(jobs, threads), base_config)
+    configs = [config_with_coupling(base_config, g) for g in g_values]
+    rows = _dispatch(base_config, configs, readout, probe_opts, threads)
+    return _collect("g", g_values, rows, base_config)
 
 
 def r_scan(base_config, r_values, fixed_g, readout="direct", probe_opts=None,
@@ -103,10 +109,9 @@ def r_scan(base_config, r_values, fixed_g, readout="direct", probe_opts=None,
     """Steady-state nbar versus frequency ratio R at fixed g and fixed
     delta_b - delta_r."""
     r_values = np.asarray(r_values, dtype=float)
-    jobs = [(config_with_ratio(base_config, r, g=fixed_g), readout, probe_opts)
-            for r in r_values]
-    return _collect("R", r_values, _dispatch(jobs, threads), base_config,
-                    label=f"g={fixed_g}")
+    configs = [config_with_ratio(base_config, r, g=fixed_g) for r in r_values]
+    rows = _dispatch(base_config, configs, readout, probe_opts, threads)
+    return _collect("R", r_values, rows, base_config, label=f"g={fixed_g}")
 
 
 def cooling_scan(base_config, omega_c_values, g_values, threads=1):

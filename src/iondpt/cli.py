@@ -16,7 +16,8 @@ import numpy as np
 
 from . import __version__
 from . import analysis, probe
-from .config import (CHANNEL_MODES, NOISE_MODES, ConfigError, load_tree,
+from .channels import CHANNEL_MODES
+from .config import (NOISE_MODES, ConfigError, load_tree,
                      experiment_from_tree, scan_spec, probe_spec,
                      probe_frequency)
 from .model import khz
@@ -27,18 +28,19 @@ EXIT_SIMULATION = 3
 EXIT_FIT = 4
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
-
-
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _write_json(path, data, **kw):
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, **kw)
+        fh.write("\n")
+    return path
 
 
 def _write_manifest(out_dir, stem, tree, seed, started, outputs):
@@ -51,22 +53,19 @@ def _write_manifest(out_dir, stem, tree, seed, started, outputs):
         "outputs": {name: {"path": path, "sha256": _sha256(path)}
                     for name, path in outputs.items()},
     }
-    path = os.path.join(out_dir, f"{stem}_manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, default=repr)
-        fh.write("\n")
-    return path
+    return _write_json(os.path.join(out_dir, f"{stem}_manifest.json"),
+                       manifest, default=repr)
 
 
 def _read_tree(path):
     if not os.path.isfile(path):
-        raise CliError(f"config file not found: {path}", EXIT_CONFIG)
+        raise ConfigError(f"config file not found: {path}")
     return load_tree(path)
 
 
 def _load_config(args):
     if not args.config:
-        raise CliError("--config is required for this subcommand", EXIT_CONFIG)
+        raise ConfigError("--config is required for this subcommand")
     tree = _read_tree(args.config)
     config = experiment_from_tree(tree, channel=args.channel,
                                   noise_mode=args.noise, seed=args.seed)
@@ -93,19 +92,18 @@ def cmd_run(args):
     if traj.cycles_run >= 10:
         try:
             fit = analysis.fit_exponential_saturation(traj)
-            fit_path = os.path.join(args.out_dir, f"{stem}_relaxation.json")
-            with open(fit_path, "w") as fh:
-                json.dump({"model": fit.model, "params": fit.params,
-                           "errors": fit.errors,
-                           "residual_rms": fit.residual_rms}, fh, indent=2)
-                fh.write("\n")
-            outputs["relaxation_fit"] = fit_path
+            outputs["relaxation_fit"] = _write_json(
+                os.path.join(args.out_dir, f"{stem}_relaxation.json"),
+                {"model": fit.model, "params": fit.params,
+                 "errors": fit.errors,
+                 "residual_rms": fit.residual_rms})
         except analysis.FitError:
             pass  # relaxation summary is optional
 
     manifest = _write_manifest(args.out_dir, stem, tree, config.seed, started,
                                outputs)
-    print(f"cycles={traj.cycles_run} steady_nbar={traj.steady_nbar():.4f} "
+    steady = traj.steady_nbar(config.convergence.window)
+    print(f"cycles={traj.cycles_run} steady_nbar={steady:.4f} "
           f"converged={traj.converged}")
     print(f"wrote {csv_path}")
     print(f"wrote {manifest}")
@@ -117,8 +115,6 @@ def cmd_scan(args):
     spec = scan_spec(tree)
     popts = probe_spec(tree)
     readout = "probe" if args.probe else "direct"
-    if args.probe:
-        popts["omega_probe"] = probe_frequency(popts, config.cool)
     started = datetime.now(timezone.utc).isoformat()
     threads = args.threads or (os.cpu_count() or 1)
     if spec["axis"] == "g":
@@ -160,15 +156,15 @@ def _read_xy_csv(path):
 
 def cmd_fit(args):
     if not os.path.isfile(args.data):
-        raise CliError(f"data file not found: {args.data}", EXIT_CONFIG)
+        raise ConfigError(f"data file not found: {args.data}")
     if args.model == "populations":
         if not args.config:
-            raise CliError("populations fit needs --config for the probe "
-                           "Rabi frequency", EXIT_CONFIG)
+            raise ConfigError("populations fit needs --config for the probe "
+                              "Rabi frequency")
         popts = probe_spec(_read_tree(args.config))
         if popts.get("omega_probe") is None:
-            raise CliError("config probe.omega_probe_khz is required for "
-                           "the populations fit", EXIT_CONFIG)
+            raise ConfigError("config probe.omega_probe_khz is required for "
+                              "the populations fit")
     try:
         if args.model == "populations":
             scan = probe.scan_from_csv(args.data, popts["omega_probe"])
@@ -194,14 +190,11 @@ def cmd_fit(args):
                       "errors": fit.errors, "residual_rms": fit.residual_rms}
     except ValueError as exc:
         # a malformed data file; the config was read above
-        raise CliError(f"{args.data}: {exc}", EXIT_CONFIG) from exc
+        raise ConfigError(f"{args.data}: {exc}") from exc
 
-    out_path = os.path.join(args.out_dir,
-                            os.path.splitext(os.path.basename(args.data))[0]
-                            + f"_{args.model}_fit.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    out_path = _write_json(os.path.join(
+        args.out_dir, os.path.splitext(os.path.basename(args.data))[0]
+        + f"_{args.model}_fit.json"), report)
     print(json.dumps(report["params"]))
     print(f"wrote {out_path}")
     return 0
@@ -223,14 +216,13 @@ def cmd_probe_demo(args):
     stem = _stem(args)
     scan_path = os.path.join(args.out_dir, f"{stem}_probe.csv")
     probe.scan_to_csv(scan, scan_path)
-    fit_path = os.path.join(args.out_dir, f"{stem}_populations.json")
-    with open(fit_path, "w") as fh:
-        json.dump({"nbar_fit": nbar_fit, "sigma": sigma,
-                   "nbar_direct": nbar_direct,
-                   "p": [float(v) for v in fit.p],
-                   "gamma0": fit.gamma0,
-                   "residual_rms": fit.residual_rms}, fh, indent=2)
-        fh.write("\n")
+    fit_path = _write_json(
+        os.path.join(args.out_dir, f"{stem}_populations.json"),
+        {"nbar_fit": nbar_fit, "sigma": sigma,
+         "nbar_direct": nbar_direct,
+         "p": [float(v) for v in fit.p],
+         "gamma0": fit.gamma0,
+         "residual_rms": fit.residual_rms})
     manifest = _write_manifest(args.out_dir, stem, tree, config.seed, started,
                                {"probe_scan": scan_path, "populations": fit_path})
     print(f"nbar_fit={nbar_fit:.4f} sigma={sigma:.4f} nbar_direct={nbar_direct:.4f}")
@@ -287,8 +279,6 @@ def main(argv=None):
         os.makedirs(args.out_dir, exist_ok=True)
     try:
         return args.func(args)
-    except CliError as exc:
-        message, code = str(exc), exc.code
     except ConfigError as exc:
         message, code = str(exc), EXIT_CONFIG
     except SimulationDiverged as exc:

@@ -3,13 +3,14 @@
 Config files are YAML trees quoting ordinary frequencies in kHz, times in
 microseconds and rates in 1/s, so every experimental number can be typed
 verbatim; they are converted to internal units on loading, through the
-converters of model.
+converters of model.  A key the file omits takes the default of the
+parameter dataclass it feeds, and the dataclasses make the checks.
 """
 
 import numpy as np
 import yaml
 
-from .channels import CHANNEL_MODES, NoiseParams
+from .channels import NoiseParams
 from .model import DriveParams, CoolParams, khz
 from .probe import DECAY_MODELS
 from .protocol import (ExperimentConfig, InitialState, Convergence,
@@ -31,15 +32,21 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
-def _number(mapping, key, where, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return float(default)
-    val = mapping[key]
+def _number(mapping, key, where):
+    val = _require(mapping, key, where)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number, got {val!r}")
     return float(val)
+
+
+def _integer(mapping, key, where):
+    """An integer key; an integral float such as 200.0 is accepted."""
+    val = _require(mapping, key, where)
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"{where}.{key}: expected an integer, got {val!r}")
+    return val
 
 
 def _mapping(tree, key, where, required=True):
@@ -53,80 +60,37 @@ def _mapping(tree, key, where, required=True):
     return section
 
 
-def _drive(tree):
-    sec = _mapping(tree, "drive", "config")
-    try:
-        return DriveParams.from_khz(
-            _number(sec, "delta_b_khz", "drive"),
-            _number(sec, "delta_r_khz", "drive"),
-            _number(sec, "omega_sb_khz", "drive"),
-            _number(sec, "tau_us", "drive"))
-    except ValueError as exc:
-        raise ConfigError(f"drive: {exc}") from exc
+def _section(tree, name, factory, numbers=(), integers=(), as_is=(),
+             required=False, **extra):
+    """factory(**keywords) from a section's keys: numbers as floats,
+    integers as ints, the as_is keys unchanged.  Unless required, a key the
+    file omits is left out and so takes the dataclass default.  A
+    ValueError of the factory is reported as ConfigError."""
+    sec = _mapping(tree, name, "config", required)
+    kw = {key: sec[key] for key in as_is if key in sec}
+    for read, keys in ((_number, numbers), (_integer, integers)):
+        kw.update((key, read(sec, key, name))
+                  for key in keys if required or key in sec)
+    return _build(name, factory, **kw, **extra)
 
 
-def _cool(tree):
-    sec = _mapping(tree, "cool", "config")
+def _build(where, factory, **kw):
     try:
-        return CoolParams.from_khz(
-            _number(sec, "omega_c_khz", "cool"),
-            _number(sec, "tau_c_us", "cool"),
-            _number(sec, "tau_d_us", "cool"))
+        return factory(**kw)
     except ValueError as exc:
-        raise ConfigError(f"cool: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _noise(tree):
     sec = _mapping(tree, "noise", "config", required=False)
-    recoil = sec.get("recoil", False)
-    if not isinstance(recoil, bool):
-        raise ConfigError(f"noise.recoil: expected true/false, got {recoil!r}")
-    try:
-        return NoiseParams.from_per_second(
-            heating_per_s=_number(sec, "heating_per_s", "noise", default=0.0),
-            dephasing_per_s=_number(sec, "dephasing_per_s", "noise", default=0.0),
-            recoil_enabled=recoil)
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
-
-
-def _initial(tree):
-    sec = _mapping(tree, "initial", "config", required=False)
-    kind = sec.get("kind", "thermal")
-    try:
-        return InitialState(kind=kind,
-                            nbar=_number(sec, "nbar", "initial", default=5.0))
-    except ValueError as exc:
-        raise ConfigError(f"initial: {exc}") from exc
-
-
-def _convergence(tree):
-    sec = _mapping(tree, "cycles", "config", required=False)
-    mode = sec.get("mode", "fixed")
-    try:
-        conv = Convergence(mode=mode,
-                           tol=_number(sec, "tol", "cycles", default=0.05),
-                           window=int(_number(sec, "window", "cycles", default=20)))
-    except ValueError as exc:
-        raise ConfigError(f"cycles: {exc}") from exc
-    max_cycles = int(_number(sec, "max", "cycles", default=200))
-    return conv, max_cycles
-
-
-def _cutoff(tree):
-    sec = _mapping(tree, "cutoff", "config", required=False)
-    policy = CutoffPolicy(
-        n_max=int(_number(sec, "n_max", "cutoff", default=30)),
-        eps=_number(sec, "eps", "cutoff", default=CutoffPolicy.eps),
-        growth=_number(sec, "growth", "cutoff", default=1.5),
-        ceiling=int(_number(sec, "ceiling", "cutoff", default=600)))
-    if policy.n_max < 1:
-        raise ConfigError("cutoff.n_max: must be >= 1")
-    if not policy.eps > 0:
-        raise ConfigError("cutoff.eps: must be > 0")
-    if policy.growth <= 1:
-        raise ConfigError("cutoff.growth: must be > 1")
-    return policy
+    recoil = {}
+    if "recoil" in sec:
+        if not isinstance(sec["recoil"], bool):
+            raise ConfigError(f"noise.recoil: expected true/false, "
+                              f"got {sec['recoil']!r}")
+        recoil["recoil_enabled"] = sec["recoil"]
+    return _section(tree, "noise", NoiseParams.from_per_second,
+                    ("heating_per_s", "dephasing_per_s"), **recoil)
 
 
 def load_tree(path):
@@ -142,10 +106,6 @@ def load_tree(path):
 
 def experiment_from_tree(tree, channel=None, noise_mode=None, seed=None):
     """Build an ExperimentConfig; CLI overrides win over file values."""
-    channel_mode = channel or tree.get("channel", "exact")
-    if channel_mode not in CHANNEL_MODES:
-        raise ConfigError(f"channel: expected {' or '.join(CHANNEL_MODES)}, "
-                          f"got {channel_mode!r}")
     noise = _noise(tree)
     if noise_mode is not None and noise_mode not in NOISE_MODES:
         raise ConfigError(f"noise mode: unknown {noise_mode!r}")
@@ -154,17 +114,31 @@ def experiment_from_tree(tree, channel=None, noise_mode=None, seed=None):
     elif noise_mode is not None:
         from dataclasses import replace
         noise = replace(noise, recoil_enabled=noise_mode == "decoherence+recoil")
-    conv, max_cycles = _convergence(tree)
-    use_seed = seed if seed is not None else int(tree.get("seed", 0))
-    jitter = _number(tree, "jitter_sigma_khz", "config", default=0.0)
-    try:
-        return ExperimentConfig(
-            drive=_drive(tree), cool=_cool(tree), noise=noise,
-            initial=_initial(tree), channel_mode=channel_mode,
-            max_cycles=max_cycles, convergence=conv, cutoff=_cutoff(tree),
-            jitter_sigma=khz(jitter), seed=use_seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cycles = _mapping(tree, "cycles", "config", required=False)
+    kw = {}
+    if channel or "channel" in tree:
+        kw["channel_mode"] = channel or tree["channel"]
+    if "max" in cycles:
+        kw["max_cycles"] = _integer(cycles, "max", "cycles")
+    if seed is not None or "seed" in tree:
+        kw["seed"] = seed if seed is not None else _integer(tree, "seed", "config")
+    if "jitter_sigma_khz" in tree:
+        kw["jitter_sigma"] = khz(_number(tree, "jitter_sigma_khz", "config"))
+    return _build(
+        "config", ExperimentConfig,
+        drive=_section(tree, "drive", DriveParams.from_khz,
+                       ("delta_b_khz", "delta_r_khz", "omega_sb_khz",
+                        "tau_us"), required=True),
+        cool=_section(tree, "cool", CoolParams.from_khz,
+                      ("omega_c_khz", "tau_c_us", "tau_d_us"), required=True),
+        noise=noise,
+        initial=_section(tree, "initial", InitialState, ("nbar",),
+                         as_is=("kind",)),
+        convergence=_section(tree, "cycles", Convergence, ("tol",),
+                             ("window",), as_is=("mode",)),
+        cutoff=_section(tree, "cutoff", CutoffPolicy, ("eps", "growth"),
+                        ("n_max", "ceiling")),
+        **kw)
 
 
 def load_experiment(path, channel=None, noise_mode=None, seed=None):
@@ -188,7 +162,7 @@ def scan_spec(tree):
     else:
         start = _number(sec, "start", "scan")
         stop = _number(sec, "stop", "scan")
-        count = int(_number(sec, "count", "scan"))
+        count = _integer(sec, "count", "scan")
         if count < 2 or stop <= start:
             raise ConfigError("scan: need stop > start and count >= 2")
         values = list(np.linspace(start, stop, count))
@@ -219,7 +193,7 @@ def probe_spec(tree):
             raise ConfigError(f"probe.omega_probe_khz: must be > 0, got {omega}")
         out["omega_probe"] = khz(omega)
     if "k_max" in sec:
-        k_max = int(_number(sec, "k_max", "probe"))
+        k_max = _integer(sec, "k_max", "probe")
         if k_max < 0:
             raise ConfigError(f"probe.k_max: must be >= 0, got {k_max}")
         out["k_max"] = k_max

@@ -225,8 +225,8 @@ def scan_to_csv(scan, path):
 
 def scan_from_csv(path, omega_probe):
     rows = read_csv(path)
-    if not rows or rows[0][0] != "t_us":
-        raise ValueError(f"{path}: expected header starting with t_us")
+    if not rows or rows[0][:1] != ["t_us"]:
+        raise ValueError("expected header starting with t_us")
     has_shots = len(rows[0]) > 2 and rows[0][2] == "shots"
     times, p_up, shots = [], [], None
     for row in rows[1:]:

@@ -69,6 +69,14 @@ class CutoffPolicy:
     growth: float = 1.5
     ceiling: int = 600
 
+    def __post_init__(self):
+        if self.n_max < 1:
+            raise ValueError("n_max must be >= 1")
+        if not self.eps > 0:
+            raise ValueError("eps must be > 0")
+        if not self.growth > 1:
+            raise ValueError("growth must be > 1")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:

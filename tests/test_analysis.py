@@ -66,6 +66,20 @@ def test_r_scan_labels_and_axis():
     assert scan.nbar.size == 2
 
 
+@pytest.mark.parametrize("scan", [lambda cfg, kw: g_scan(cfg, [1.0], **kw),
+                                  lambda cfg, kw: r_scan(cfg, [50.0], 1.0, **kw)],
+                         ids=["g_scan", "r_scan"])
+def test_probe_scan_rejects_zero_frequency_before_any_point(monkeypatch, scan):
+    # the probe falls back to the cooling Rabi frequency, here 0
+    def no_cycles(config):
+        raise AssertionError("a cycle ran")
+
+    monkeypatch.setattr(an, "run", no_cycles)
+    cfg = small_config(cool=CoolParams.from_khz(0.0, 5.0, 13.0))
+    with pytest.raises(ValueError, match="probe Rabi frequency"):
+        scan(cfg, dict(readout="probe", probe_opts={"shots": None}))
+
+
 def test_fit_exponential_saturation_round_trip():
     rng = np.random.default_rng(5)
     x = np.arange(1.0, 201.0)

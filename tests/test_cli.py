@@ -173,6 +173,28 @@ def test_fit_populations_requires_config(tmp_path, capsys):
     assert f"config file not found: {missing}" in capsys.readouterr().err
 
 
+def test_fit_error_names_data_path_once(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(BASE_YAML + "probe:\n  omega_probe_khz: 20.0\n")
+    data = tmp_path / "bad.csv"
+    data.write_text("R,nbar\n50,1.0\n100,1.5\n")
+    assert main(["fit", str(data), "--model", "populations", "--config",
+                 str(cfg), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: expected header starting with t_us\n"
+
+
+def test_run_prints_mean_over_config_window(tmp_path, capsys):
+    cfg = tmp_path / "win.yaml"
+    cfg.write_text(BASE_YAML.replace("max: 40", "max: 40\n  window: 30"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    printed = capsys.readouterr().out.split("steady_nbar=")[1].split()[0]
+    nbar = [float(r[1]) for r in read_rows(out / "win_trajectory.csv")[1:]]
+    assert printed == f"{np.mean(nbar[-30:]):.4f}"
+    assert printed != f"{np.mean(nbar[-20:]):.4f}"
+
+
 def test_probe_demo(base_config, tmp_path):
     cfg = tmp_path / "demo.yaml"
     cfg.write_text(BASE_YAML + "probe:\n  omega_probe_khz: 20.0\n")

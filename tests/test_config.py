@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from iondpt.analysis import config_hash
 from iondpt.config import (ConfigError, load_tree, load_experiment,
                            experiment_from_tree, scan_spec, probe_spec)
-from iondpt.model import khz
+from iondpt.model import CoolParams, DriveParams, khz
+from iondpt.protocol import ExperimentConfig
 
 import pathlib
 
@@ -40,6 +42,46 @@ def test_fig2a_values():
     assert cfg.max_cycles == 200
 
 
+def test_omitted_keys_take_dataclass_defaults():
+    cfg = experiment_from_tree(minimal_tree())
+    expected = ExperimentConfig(drive=DriveParams.from_khz(26.0, 24.0, 9.0, 20.0),
+                                cool=CoolParams.from_khz(20.0, 5.0, 13.0))
+    assert cfg == expected
+    assert config_hash(cfg) == config_hash(expected)
+
+
+INTEGER_KEYS = [("seed",), ("cycles", "window"), ("cycles", "max"),
+                ("cutoff", "n_max"), ("cutoff", "ceiling"), ("probe", "k_max"),
+                ("scan", "count")]
+
+
+def tree_with(path, value):
+    tree = minimal_tree(scan={"axis": "g", "start": 0.8, "stop": 1.8,
+                              "count": 6})
+    if len(path) == 1:
+        tree[path[0]] = value
+    else:
+        tree.setdefault(path[0], {})[path[1]] = value
+    return tree
+
+
+def read_all(tree):
+    return experiment_from_tree(tree), scan_spec(tree), probe_spec(tree)
+
+
+@pytest.mark.parametrize("path", INTEGER_KEYS, ids=".".join)
+def test_integer_keys(path):
+    cfg, spec, popts = read_all(tree_with(path, 40.0))
+    read = {"seed": cfg.seed, "window": cfg.convergence.window,
+            "max": cfg.max_cycles, "n_max": cfg.cutoff.n_max,
+            "ceiling": cfg.cutoff.ceiling, "k_max": popts.get("k_max"),
+            "count": len(spec["values"])}[path[-1]]
+    assert read == 40 and type(read) is int
+    for bad in (40.5, "abc", True):
+        with pytest.raises(ConfigError, match=path[-1]):
+            read_all(tree_with(path, bad))
+
+
 def test_missing_key_diagnostics():
     tree = minimal_tree()
     del tree["drive"]["omega_sb_khz"]
@@ -61,6 +103,9 @@ def test_invalid_physics_reported_as_config_error():
     tree["drive"]["delta_b_khz"] = 20.0  # delta_b <= delta_r
     with pytest.raises(ConfigError, match="drive"):
         experiment_from_tree(tree)
+    for key, value in (("growth", 1.0), ("eps", 0.0), ("n_max", 0)):
+        with pytest.raises(ConfigError, match=f"cutoff: {key}"):
+            experiment_from_tree(minimal_tree(cutoff={key: value}))
 
 
 def test_channel_and_noise_overrides():

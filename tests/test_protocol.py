@@ -34,6 +34,10 @@ def test_config_validation():
         Convergence(mode="tolerance", tol=0.0)
     with pytest.raises(ValueError):
         Convergence(window=1)
+    # growth <= 1 would re-run an overflowing cutoff at the same size forever
+    for setting in ({"growth": 1.0}, {"eps": 0.0}, {"n_max": 0}):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            CutoffPolicy(**setting)
 
 
 def test_prepare_initial():
