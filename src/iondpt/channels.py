@@ -8,13 +8,15 @@ Comput. 33, 488 (2011)), the reference the other maps are tested against.
 Jump operators carry units of 1/sqrt(us); Hamiltonians rad/us.
 """
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 from dataclasses import dataclass
 
 from .fockspace import build_boson_ops, embed_down, trace_out_spin
 from .model import (h_red_sideband, frame_shift_diagonal, check_hermitian,
-                    per_second)
+                    per_second, HERMITICITY_REL_TOL)
 
 # Strang slice of SplitStepPropagator.  Its splitting error in the
 # steady-state nbar at R = 50, g = 1.5 with heating 50/s, dephasing 200/s
@@ -152,36 +154,81 @@ def _offset_generators(jumps):
     return gen
 
 
-def _on_offset_diagonals(rho, b, step):
-    """Map the offset diagonals of each b-by-b block of rho by step, which
-    takes and returns a real array [k, m, c] of zero-padded diagonals, c
-    running over the two sides, the blocks and the real and imaginary parts.
+def _chain(b):
+    """Index pairs of the two (b, b) parity-sector blocks of a composite
+    matrix and of the two blocks between them: sector p holds spin
+    (n + p) % 2 at boson n, the chain |down,0>, |up,1>, |down,2>, ..."""
+    n = np.arange(b)
+    chain = (n + np.arange(2)[:, None]) % 2 * b + n
+    return ((chain[:, :, None], chain[:, None, :]),
+            (chain[:, :, None], chain[::-1, None, :]))
+
+
+def sector_propagators(H, t):
+    """exp(-i H t) on the two parity sectors of -sigma_z (-1)^n, (2, b, b).
+    The Rabi and sideband Hamiltonians are real and tridiagonal there
+    (Braak, PRL 107, 100401 (2011)), so each sector takes one
+    eigh_tridiagonal; any other H raises ValueError."""
+    from scipy.linalg import eigh_tridiagonal
+    inside, across = _chain(H.shape[0] // 2)
+    blocks = H[inside]
+    d, e = np.diagonal(blocks, 0, 1, 2).real, np.diagonal(blocks, 1, 1, 2).real
+    tri = [np.diag(x) + np.diag(y, 1) + np.diag(y, -1) for x, y in zip(d, e)]
+    if max(np.abs(blocks - tri).max(), np.abs(H[across]).max()) > (
+            HERMITICITY_REL_TOL * max(np.linalg.norm(H), 1.0)):
+        raise ValueError("H is not real tridiagonal in the parity sectors")
+    eigs = [eigh_tridiagonal(x, y) for x, y in zip(d, e)]
+    return np.array([(v * np.exp(-1j * w * t)) @ v.T for w, v in eigs])
+
+
+@functools.lru_cache(maxsize=8)
+def _offset_layout(shape, b):
+    """Flat indices into the float view of a state of this shape, plus a
+    trailing zero, that gather its offset diagonals into the real (k, m, c)
+    layout of _offset_generators (m >= b - k reads the zero), and back.
+
+    The state is rho_m, a spin (x) boson state (each spin block alike) or
+    the (2, b, b) parity sectors, where spin s at boson m sits in sector
+    (s + m) % 2.  c runs over blocks, sides and real and imaginary parts.
     """
-    s = rho.shape[0] // b
-    blocks = rho.reshape(s, b, s, b).transpose(1, 3, 0, 2)   # [n, n', i, j]
     k, m = np.indices((b, b))
     on = m + k < b
-    rows, cols = m[on], (m + k)[on]
-    x = np.zeros((b, b, 2, s, s), dtype=complex)
-    x[on, 0] = blocks[rows, cols]
-    x[on, 1] = blocks[cols, rows]
-    y = step(x.view(float).reshape(b, b, -1)).view(complex).reshape(x.shape)
-    out = np.empty(blocks.shape, dtype=complex)
-    out[cols, rows] = y[on, 1]
-    out[rows, cols] = y[on, 0]
-    return out.transpose(2, 0, 3, 1).reshape(rho.shape)
+    lo, hi = m * on, (m + k) * on
+    ids = np.arange(2 * np.prod(shape)).reshape(shape + (2,))
+    if len(shape) == 2:   # spin blocks of rho_m or of a spin (x) boson state
+        s = shape[0] // b
+        ids = ids.reshape(s, b, s, b, 2).swapaxes(1, 2).reshape(-1, b, b, 2)
+    n_blk = len(ids)
+    blk = (np.arange(n_blk)[:, None, None] + (len(shape) == 3) * lo) % n_blk
+    gather = np.stack([ids[blk, lo, hi], ids[blk, hi, lo]])
+    gather = gather.transpose(2, 3, 0, 1, 4)   # [k, m, side, block, re/im]
+    gather = np.where(on[..., None], gather.reshape(b, b, -1), ids.size)
+    scatter = np.empty(ids.size, dtype=int)
+    scatter[gather[on]] = np.arange(gather.size).reshape(gather.shape)[on]
+    return gather, scatter
+
+
+def _on_offset_diagonals(rho, b, step):
+    """Map the offset diagonals of rho (see _offset_layout) by step, which
+    takes and returns the real array [k, m, c]."""
+    gather, scatter = _offset_layout(rho.shape, b)
+    x = np.append(np.asarray(rho, dtype=complex).reshape(-1).view(float), 0.0)
+    return step(x[gather]).reshape(-1)[scatter].view(complex).reshape(rho.shape)
 
 
 class Dissipator:
     """Exact Lindblad flow of phase-covariant boson jumps over a time t.
 
-    exp(t G[k]) of every _offset_generators diagonal is computed once; apply
-    maps rho_m, or each spin block of a spin (x) boson state (jumps I (x) L).
+    exp(t G[k]) of each _offset_generators diagonal is computed once on its
+    (b-k)-square block; apply maps any state layout of _offset_layout.
     """
 
     def __init__(self, jumps, t):
         from scipy.linalg import expm
-        self._exp = expm(t * _offset_generators(jumps))
+        gen = _offset_generators(jumps)
+        b = len(gen)
+        self._exp = np.array([np.pad(expm(t * g[:b - k, :b - k]), (0, k))
+                              for k, g in enumerate(gen)])
 
     def apply(self, rho):
         exp = self._exp
@@ -189,11 +236,13 @@ class Dissipator:
 
 
 class SplitStepPropagator:
-    """Strang-split propagator for a composite-space Hamiltonian plus
-    phase-covariant boson jumps: slices of at most SLICE_US, each
-    exp(-iH dt/2) D(dt) exp(-iH dt/2) with exact dense unitary halves (merged
-    between slices) and the exact Dissipator D, so the only error is the
-    splitting's, second order in the slice.
+    """Strang-split propagator for a parity-conserving composite-space
+    Hamiltonian plus phase-covariant boson jumps: slices of at most
+    SLICE_US, each exp(-iH dt/2) D(dt) exp(-iH dt/2) with exact unitary
+    halves (merged between slices) and the exact Dissipator D, so the only
+    error is the splitting's, second order in the slice.  apply carries a
+    spin (x) boson state as its two parity-sector blocks and rejects
+    coherences between them.
     """
 
     def __init__(self, H, jumps, t):
@@ -201,18 +250,24 @@ class SplitStepPropagator:
             raise ValueError("t must be >= 0")
         self.n_slices = max(1, int(np.ceil(t / SLICE_US)))
         dt = t / self.n_slices
-        self._u_half = unitary_propagator(H, dt / 2.0)
-        self._u_full = self._u_half @ self._u_half
+        half = sector_propagators(H, dt / 2.0)
+        self._half, self._full = [(u, u.conj().swapaxes(1, 2))
+                                  for u in (half, half @ half)]
         self._dissipate = Dissipator(jumps, dt).apply if jumps else (lambda r: r)
 
     def apply(self, rho):
-        u = self._u_half
-        out = u @ rho @ u.conj().T
+        inside, across = _chain(rho.shape[0] // 2)
+        if np.abs(rho[across]).max() > 1e-12:
+            raise ValueError("rho has coherences between the parity sectors")
+        u, u_h = self._half
+        out = u @ rho[inside] @ u_h
         for i in range(self.n_slices):
             out = self._dissipate(out)
-            u = self._u_full if i + 1 < self.n_slices else self._u_half
-            out = u @ out @ u.conj().T
-        return out
+            u, u_h = self._full if i + 1 < self.n_slices else self._half
+            out = u @ out @ u_h
+        rho = np.zeros(rho.shape, dtype=complex)
+        rho[inside] = out
+        return rho
 
 
 def pulse_kraus(theta, cutoff):
@@ -276,8 +331,8 @@ class CoolingChannel:
     spin-up population -> pump the spin back to |down> -> optional recoil
     kick -> noise for the remaining tau_d - tau_c -> free evolution
     exp(-i omega_f n tau_d).  The exact pulse is the Kraus pair of
-    pulse_kraus, or with noise a SplitStepPropagator on the composite
-    space.  The linearized pulse, the jump sqrt(theta^2/tau_c) a plus the
+    pulse_kraus, or with noise a SplitStepPropagator on the parity
+    sectors.  The linearized pulse, the jump sqrt(theta^2/tau_c) a plus the
     noise, and the idle noise are each one Dissipator; without noise the
     pulse is bosonic amplitude damping, eta = exp(-theta^2) (Chuang, Leung
     & Yamamoto, PRA 56, 1114 (1997)).

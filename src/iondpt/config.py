@@ -182,10 +182,11 @@ def scan_spec(tree):
 def probe_spec(tree):
     """Optional probe section: shots, probe Rabi frequency, fit options."""
     sec = _mapping(tree, "probe", "config", required=False)
-    shots = sec.get("shots")
-    if shots is not None:
-        if isinstance(shots, bool) or not isinstance(shots, int) or shots < 1:
-            raise ConfigError(f"probe.shots: expected a positive integer, got {shots!r}")
+    shots = None
+    if sec.get("shots") is not None:
+        shots = _integer(sec, "shots", "probe")
+        if shots < 1:
+            raise ConfigError(f"probe.shots: must be >= 1, got {shots}")
     out = {"shots": shots}
     if "omega_probe_khz" in sec:
         omega = _number(sec, "omega_probe_khz", "probe")

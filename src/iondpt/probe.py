@@ -229,7 +229,9 @@ def scan_from_csv(path, omega_probe):
         raise ValueError("expected header starting with t_us")
     has_shots = len(rows[0]) > 2 and rows[0][2] == "shots"
     times, p_up, shots = [], [], None
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) < len(rows[0]):
+            raise ValueError(f"row {line} {row!r} is shorter than the header")
         times.append(float(row[0]))
         p_up.append(float(row[1]))
         if has_shots:

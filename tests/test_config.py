@@ -176,6 +176,15 @@ def test_probe_spec():
         probe_spec(minimal_tree(probe={"shots": -5}))
 
 
+def test_probe_shots_read_as_integer():
+    # probe.shots goes through the integer reader of every other count
+    shots = probe_spec(minimal_tree(probe={"shots": 1000.0}))["shots"]
+    assert shots == 1000 and isinstance(shots, int)
+    for shots in (0, -1, True, 1.5):
+        with pytest.raises(ConfigError, match="probe.shots"):
+            probe_spec(minimal_tree(probe={"shots": shots}))
+
+
 def test_probe_spec_rejects_bad_settings():
     for probe in ({"omega_probe_khz": 0.0}, {"omega_probe_khz": -20.0},
                   {"k_max": -3}, {"decay_model": "foo"}):

@@ -4,8 +4,8 @@ from dataclasses import replace
 
 from iondpt.fockspace import FockCutoff
 from iondpt import fockspace as fs
-from iondpt.model import DriveParams, CoolParams, derive
-from iondpt.channels import NoiseParams
+from iondpt.model import DriveParams, CoolParams, derive, h_qrm
+from iondpt.channels import NoiseParams, unitary_propagator
 from iondpt.protocol import (ExperimentConfig, InitialState, Convergence,
                              CutoffPolicy, SimulationDiverged, prepare_initial,
                              run, run_cycles, run_to_convergence,
@@ -205,3 +205,21 @@ def test_drive_stage_trace_and_positivity(noisy):
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(out)[0] > -1e-12
     assert np.abs(out - out.conj().T).max() < 1e-14
+
+
+@pytest.mark.parametrize("n_max", [45, 153])
+def test_noise_free_drive_map_matches_dense_unitary(n_max):
+    """The parity-sector drive map against U_dd rho U_dd^dag +
+    U_ud rho U_ud^dag from the dense exp(-i H tau) of the whole space."""
+    cut = FockCutoff(n_max)
+    b = cut.bdim
+    U = unitary_propagator(h_qrm(derive(DRIVE), cut), DRIVE.tau)
+    rng = np.random.default_rng(n_max)
+    m = rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b))
+    rho = m @ m.conj().T
+    # the cycle keeps rho_m free of odd offsets, which the map ignores
+    z = (-1.0) ** np.arange(b)
+    rho = 0.5 * (rho + z[:, None] * rho * z[None, :]) / np.trace(rho).real
+    ref = sum(u @ rho @ u.conj().T for u in (U[:b, :b], U[b:, :b]))
+    out = _CyclePlan(make_config(), DRIVE, cut).drive(rho)
+    assert np.abs(out - ref).max() <= 1e-12

@@ -23,3 +23,33 @@ def spans():
 def test_install_and_uninstall(spans, tmp_path):
     tracer = spans.install(str(tmp_path))
     tracer.uninstall()
+
+
+def test_split_step_spans_under_drive_and_cooling(spans, tmp_path):
+    """On a noisy exact run SplitStepPropagator.apply carries both the drive
+    and the cooling pulse, and the tracer splits its time between them."""
+    from iondpt import analysis
+    from iondpt.channels import NoiseParams
+    from iondpt.model import CoolParams, DriveParams
+    from iondpt.protocol import CutoffPolicy, ExperimentConfig
+    cfg = ExperimentConfig(
+        drive=DriveParams.from_khz(26.0, 24.0, 9.0, 20.0),
+        cool=CoolParams.from_khz(20.0, 5.0, 13.0),
+        noise=NoiseParams.from_per_second(heating_per_s=50.0,
+                                          dephasing_per_s=200.0,
+                                          recoil_enabled=True),
+        max_cycles=2, cutoff=CutoffPolicy(n_max=12, eps=1e-2))
+    tracer = spans.install(str(tmp_path))
+    try:
+        analysis.run(cfg)
+    finally:
+        tracer.uninstall()
+    recorded = tracer.collect()
+    by_id = {s["id"]: s for s in recorded}
+    parents = [by_id[s["parent"]]["name"] for s in recorded
+               if s["name"] == "channels.SplitStepPropagator.apply"]
+    assert sorted(parents) == ["channels.CoolingChannel.apply"] * 2 + [
+        "protocol.run"] * 2
+    metrics = spans.layer_metrics(recorded)
+    assert metrics["channels.splitstep.drive_s"] > 0
+    assert metrics["channels.splitstep.dissipation_s"] > 0
