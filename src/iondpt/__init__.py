@@ -3,7 +3,8 @@ phase transition of the quantum Rabi model on a single trapped ion.
 
 The package is organized around small focused modules:
 
-- fockspace: truncated composite spin-boson Hilbert space and state helpers
+- fockspace: the truncated Fock space and boson-state helpers; its
+  composite spin-boson space is for Hamiltonians and test references only
 - model: parameter derivation, Hamiltonians
 - channels: unitary/Lindblad propagation, the cooling channel, noise
 - protocol: the repeated drive -> dissipate cycle engine

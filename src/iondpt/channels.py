@@ -14,7 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 from dataclasses import dataclass
 
-from .fockspace import build_boson_ops, embed_down, trace_out_spin
+from .fockspace import build_boson_ops
+# not called here: the benchmark tracer (perfbench/spans.py) wraps this name
+from .fockspace import trace_out_spin
 from .model import (h_red_sideband, frame_shift_diagonal, check_hermitian,
                     per_second, HERMITICITY_REL_TOL)
 
@@ -154,27 +156,20 @@ def _offset_generators(jumps):
     return gen
 
 
-def _chain(b):
-    """Index pairs of the two (b, b) parity-sector blocks of a composite
-    matrix and of the two blocks between them: sector p holds spin
-    (n + p) % 2 at boson n, the chain |down,0>, |up,1>, |down,2>, ..."""
-    n = np.arange(b)
-    chain = (n + np.arange(2)[:, None]) % 2 * b + n
-    return ((chain[:, :, None], chain[:, None, :]),
-            (chain[:, :, None], chain[::-1, None, :]))
-
-
 def sector_propagators(H, t):
     """exp(-i H t) on the two parity sectors of -sigma_z (-1)^n, (2, b, b).
     The Rabi and sideband Hamiltonians are real and tridiagonal there
     (Braak, PRL 107, 100401 (2011)), so each sector takes one
     eigh_tridiagonal; any other H raises ValueError."""
     from scipy.linalg import eigh_tridiagonal
-    inside, across = _chain(H.shape[0] // 2)
-    blocks = H[inside]
+    p, n = np.indices((2, H.shape[0] // 2))
+    # sector p holds spin (n + p) % 2 at boson n: |down,0>, |up,1>, ...
+    chain = (n + p) % 2 * n.shape[1] + n
+    blocks = H[chain[:, :, None], chain[:, None, :]]
+    across = H[chain[:, :, None], chain[::-1, None, :]]
     d, e = np.diagonal(blocks, 0, 1, 2).real, np.diagonal(blocks, 1, 1, 2).real
     tri = [np.diag(x) + np.diag(y, 1) + np.diag(y, -1) for x, y in zip(d, e)]
-    if max(np.abs(blocks - tri).max(), np.abs(H[across]).max()) > (
+    if max(np.abs(blocks - tri).max(), np.abs(across).max()) > (
             HERMITICITY_REL_TOL * max(np.linalg.norm(H), 1.0)):
         raise ValueError("H is not real tridiagonal in the parity sectors")
     eigs = [eigh_tridiagonal(x, y) for x, y in zip(d, e)]
@@ -187,9 +182,10 @@ def _offset_layout(shape, b):
     trailing zero, that gather its offset diagonals into the real (k, m, c)
     layout of _offset_generators (m >= b - k reads the zero), and back.
 
-    The state is rho_m, a spin (x) boson state (each spin block alike) or
-    the (2, b, b) parity sectors, where spin s at boson m sits in sector
-    (s + m) % 2.  c runs over blocks, sides and real and imaginary parts.
+    The state is rho_m, the (2, b, b) parity sectors of SplitStepPropagator,
+    where spin s at boson m sits in sector (s + m) % 2, or a spin (x) boson
+    state with each spin block alike, which only the composite test
+    references use.  c runs over blocks, sides and real and imaginary parts.
     """
     k, m = np.indices((b, b))
     on = m + k < b
@@ -240,9 +236,9 @@ class SplitStepPropagator:
     Hamiltonian plus phase-covariant boson jumps: slices of at most
     SLICE_US, each exp(-iH dt/2) D(dt) exp(-iH dt/2) with exact unitary
     halves (merged between slices) and the exact Dissipator D, so the only
-    error is the splitting's, second order in the slice.  apply carries a
-    spin (x) boson state as its two parity-sector blocks and rejects
-    coherences between them.
+    error is the splitting's, second order in the slice.  apply carries
+    the pumped rho_m as the two parity sectors: |down, n> sits in sector
+    n % 2 and |up, n> in the other, so rho_m must have no odd offsets.
     """
 
     def __init__(self, H, jumps, t):
@@ -255,19 +251,24 @@ class SplitStepPropagator:
                                   for u in (half, half @ half)]
         self._dissipate = Dissipator(jumps, dt).apply if jumps else (lambda r: r)
 
-    def apply(self, rho):
-        inside, across = _chain(rho.shape[0] // 2)
-        if np.abs(rho[across]).max() > 1e-12:
-            raise ValueError("rho has coherences between the parity sectors")
+    def apply(self, rho_m):
+        """(rho_m, p_up) after the step from |down><down| (x) rho_m."""
+        if np.abs(rho_m[::2, 1::2]).max() > 1e-12:
+            raise ValueError("rho_m has odd offsets, breaking parity sectors")
+        out = np.zeros((2,) + rho_m.shape, dtype=complex)
+        out[0, ::2, ::2] = rho_m[::2, ::2]
+        out[1, 1::2, 1::2] = rho_m[1::2, 1::2]
         u, u_h = self._half
-        out = u @ rho[inside] @ u_h
+        out = u @ out @ u_h
         for i in range(self.n_slices):
             out = self._dissipate(out)
             u, u_h = self._full if i + 1 < self.n_slices else self._half
             out = u @ out @ u_h
-        rho = np.zeros(rho.shape, dtype=complex)
-        rho[inside] = out
-        return rho
+        # an odd offset of a sector couples |down> to |up> and traces out
+        rho_m = out[0] + out[1]
+        rho_m[::2, 1::2] = rho_m[1::2, ::2] = 0.0
+        pup = np.trace(out[0, 1::2, 1::2]) + np.trace(out[1, ::2, ::2])
+        return rho_m, float(pup.real)
 
 
 def pulse_kraus(theta, cutoff):
@@ -288,12 +289,6 @@ def apply_kraus(kraus, rho_m):
     out = c[:, None] * rho_m * c[None, :]
     out[:-1, :-1] += s[1:, None] * rho_m[1:, 1:] * s[None, 1:]
     return out
-
-
-def p_up(rho):
-    """Spin-up population."""
-    b = rho.shape[0] // 2
-    return float(np.real(np.trace(rho[b:, b:])))
 
 
 def recoil_diffusion(cutoff):
@@ -357,14 +352,9 @@ class CoolingChannel:
             self._pulse = lambda rho_m: (apply_kraus(kraus, rho_m),
                                          float(up @ np.real(np.diag(rho_m))))
         elif exact:
-            prop = SplitStepPropagator(h_red_sideband(cool.omega_c, cutoff),
-                                       noise_jumps, cool.tau_c)
-
-            def pulse(rho_m):
-                rho = prop.apply(embed_down(rho_m))
-                return trace_out_spin(rho), p_up(rho)
-
-            self._pulse = pulse
+            self._pulse = SplitStepPropagator(
+                h_red_sideband(cool.omega_c, cutoff), noise_jumps,
+                cool.tau_c).apply
         else:
             # the linearized pulse; at omega_c = 0 also the noisy exact one
             a, _, _ = build_boson_ops(cutoff)

@@ -2,7 +2,9 @@
 
 All operators and states are dense complex numpy arrays.  The composite
 basis ordering is |s> (x) |n> with the spin as the slow index, spin down
-at index 0, so the flat index of |s, n> is s*(n_max+1) + n.
+at index 0, so the flat index of |s, n> is s*(n_max+1) + n.  The composite
+space holds Hamiltonians and the test references only: the state the
+simulation carries is the boson density matrix rho_m.
 """
 
 import numpy as np
@@ -82,14 +84,6 @@ def trace_out_spin(rho):
     """Partial trace over the qubit, returning the boson density matrix."""
     b = rho.shape[0] // 2
     return rho[:b, :b] + rho[b:, b:]
-
-
-def embed_down(rho_m):
-    """|down><down| (x) rho_m on the composite space."""
-    b = rho_m.shape[0]
-    rho = np.zeros((2 * b, 2 * b), dtype=complex)
-    rho[:b, :b] = rho_m
-    return rho
 
 
 def thermal_state(nbar, cutoff, eps=1e-6):

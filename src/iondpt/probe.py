@@ -124,9 +124,13 @@ def write_csv(path, header, rows):
 
 
 def read_csv(path):
-    """Every row of a CSV file, header first, as lists of strings."""
+    """CSV rows as string lists, header first; short rows raise ValueError."""
     with open(path, newline="") as fh:
-        return list(_csv.reader(fh))
+        rows = list(_csv.reader(fh))
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) < len(rows[0]):
+            raise ValueError(f"row {line} {row!r} is shorter than the header")
+    return rows
 
 
 def fit_populations(scan, k_max, decay_model="sqrt", max_nfev=2000):
@@ -229,9 +233,7 @@ def scan_from_csv(path, omega_probe):
         raise ValueError("expected header starting with t_us")
     has_shots = len(rows[0]) > 2 and rows[0][2] == "shots"
     times, p_up, shots = [], [], None
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) < len(rows[0]):
-            raise ValueError(f"row {line} {row!r} is shorter than the header")
+    for row in rows[1:]:
         times.append(float(row[0]))
         p_up.append(float(row[1]))
         if has_shots:

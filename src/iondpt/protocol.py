@@ -147,8 +147,7 @@ class _CyclePlan:
         noise_jumps = make_noise_jumps(config.noise, cutoff)
         if noise_jumps:
             prop = SplitStepPropagator(H, noise_jumps, drive.tau)
-            self.drive = lambda rho_m: fs.trace_out_spin(
-                prop.apply(fs.embed_down(rho_m)))
+            self.drive = lambda rho_m: prop.apply(rho_m)[0]
         else:
             # rho_m -> Tr_spin U (|down><down| (x) rho_m) U^dag per parity
             # sector.  |down, n> sits in sector n % 2 and rho_m has no odd

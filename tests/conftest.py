@@ -5,11 +5,10 @@ import pytest
 
 from iondpt import fockspace as fs
 from iondpt.channels import (Dissipator, SplitStepPropagator, make_noise_jumps,
-                             p_up, recoil_diffusion, recoil_kick,
-                             unitary_propagator)
+                             recoil_diffusion, recoil_kick, unitary_propagator)
 from iondpt.model import derive, frame_shift_diagonal, h_qrm, h_red_sideband
 
-from helpers import number_full, spin_reset
+from helpers import embed_down, number_full, p_up, spin_reset
 
 
 def composite_cycles_nbar(config, cutoff, n_cycles, t0):
@@ -21,8 +20,11 @@ def composite_cycles_nbar(config, cutoff, n_cycles, t0):
     wall-clock start and back with exp(-i H0 t) at its end, where H0 is
     the decoupled Rabi Hamiltonian, and the idle evolves under H0.  The
     noise, the linearized pulse and the recoil use the boson engine's own
-    dissipators on each spin block, so the comparison tests the frame
-    phases and not the integrator.
+    dissipators on each spin block, and the noisy drive and exact pulse
+    run its parity-chain step on the boson state of the pumped composite
+    state and re-embed the output in |down>, so the comparison tests the
+    frame phases and not the integrator.  Each drive and pulse returns
+    the state and p_up.
     """
     derived = derive(config.drive)
     cool, noise = config.cool, config.noise
@@ -30,20 +32,36 @@ def composite_cycles_nbar(config, cutoff, n_cycles, t0):
     jumps = make_noise_jumps(noise, cutoff)
     H = h_qrm(derived, cutoff)
     H_c = h_red_sideband(cool.omega_c, cutoff)
+
+    def chain_step(h, t):
+        apply = SplitStepPropagator(h, jumps, t).apply
+
+        def step(rho):
+            rho_m, pup = apply(fs.trace_out_spin(rho))
+            return embed_down(rho_m), pup
+        return step
+
+    def composite_step(apply):
+        def step(rho):
+            rho = apply(rho)
+            return rho, p_up(rho)
+        return step
+
     if jumps:
-        drive = SplitStepPropagator(H, jumps, config.drive.tau).apply
-        exact_pulse = SplitStepPropagator(H_c, jumps, cool.tau_c).apply
+        drive = chain_step(H, config.drive.tau)
+        exact_pulse = chain_step(H_c, cool.tau_c)
     else:
         U = unitary_propagator(H, config.drive.tau)
         U_c = unitary_propagator(H_c, cool.tau_c)
-        drive = lambda rho: U @ rho @ U.conj().T
-        exact_pulse = lambda rho: U_c @ rho @ U_c.conj().T
+        drive = composite_step(lambda rho: U @ rho @ U.conj().T)
+        exact_pulse = composite_step(lambda rho: U_c @ rho @ U_c.conj().T)
     if config.channel_mode == "exact":
         pulse = exact_pulse
     else:
         a = fs.build_boson_ops(cutoff)[0]
-        pulse = Dissipator([0.5 * cool.omega_c * np.sqrt(cool.tau_c) * a]
-                           + jumps, cool.tau_c).apply
+        pulse = composite_step(Dissipator(
+            [0.5 * cool.omega_c * np.sqrt(cool.tau_c) * a] + jumps,
+            cool.tau_c).apply)
     t_idle = cool.tau_d - cool.tau_c
     idle_noise = Dissipator(jumps, t_idle).apply if jumps else (lambda r: r)
     diffusion = recoil_diffusion(cutoff)
@@ -52,19 +70,18 @@ def composite_cycles_nbar(config, cutoff, n_cycles, t0):
         v = np.exp(1j * h0 * t)
         return v[:, None] * rho * v.conj()[None, :]
 
-    rho = fs.embed_down(fs.thermal_state(config.initial.nbar, cutoff,
-                                         eps=config.cutoff.eps))
+    rho = embed_down(fs.thermal_state(config.initial.nbar, cutoff,
+                                      eps=config.cutoff.eps))
     num = number_full(cutoff)
     t = t0
     nbar = []
     for _ in range(n_cycles):
-        rho = drive(rho)
+        rho = drive(rho)[0]
         t += config.drive.tau
-        rho = pulse(to_frame(spin_reset(rho), t))
+        rho, pup = pulse(to_frame(spin_reset(rho), t))
         rho = to_frame(rho, -(t + cool.tau_c))
-        pup = p_up(rho)
-        rho = fs.embed_down(recoil_kick(fs.trace_out_spin(rho), pup, noise,
-                                        diffusion))
+        rho = embed_down(recoil_kick(fs.trace_out_spin(rho), pup, noise,
+                                     diffusion))
         rho = to_frame(idle_noise(rho), -t_idle)
         t += cool.tau_d
         nbar.append(fs.expectation(rho, num))

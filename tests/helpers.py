@@ -36,9 +36,23 @@ def is_valid_density_matrix(rho):
     return True
 
 
+def embed_down(rho_m):
+    """|down><down| (x) rho_m on the composite space."""
+    b = rho_m.shape[0]
+    rho = np.zeros((2 * b, 2 * b), dtype=complex)
+    rho[:b, :b] = rho_m
+    return rho
+
+
+def p_up(rho):
+    """Spin-up population of a composite state."""
+    b = rho.shape[0] // 2
+    return float(np.real(np.trace(rho[b:, b:])))
+
+
 def spin_reset(rho):
     """Optical pumping to |down>: rho -> |down><down| (x) Tr_spin(rho)."""
-    return fs.embed_down(fs.trace_out_spin(rho))
+    return embed_down(fs.trace_out_spin(rho))
 
 
 def composite_split_step(H, jumps, t, rho):
@@ -52,9 +66,3 @@ def composite_split_step(H, jumps, t, rho):
     for _ in range(n_slices):
         rho = u @ dissipate(u @ rho @ u.conj().T) @ u.conj().T
     return rho
-
-
-def parity(cutoff):
-    """Diagonal of the parity -sigma_z (-1)^n on the composite space."""
-    sign = (-1.0) ** np.arange(cutoff.bdim)
-    return np.concatenate([sign, -sign])

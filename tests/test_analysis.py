@@ -208,7 +208,11 @@ def test_scan_csv_round_trip(tmp_path):
     assert np.allclose(back.values, scan.values)
     assert np.allclose(back.nbar, scan.nbar)
     assert np.array_equal(back.converged, scan.converged)
-    with pytest.raises(ValueError):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
-        scan_from_csv(bad)
+    bad = tmp_path / "bad.csv"
+    header = "R,nbar,sigma,converged,cycles,n_max\n"
+    # too few columns, short rows, ragged rows
+    for text in ("a,b\n1,2\n", header + "50,1,0,1,10\n",
+                 header + "50,1,0,1,10,30\n100,1,0,1,10\n"):
+        bad.write_text(text)
+        with pytest.raises(ValueError):
+            scan_from_csv(bad)

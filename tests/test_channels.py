@@ -8,9 +8,10 @@ from iondpt import channels as ch
 from iondpt.channels import (NoiseParams, SplitStepPropagator, CoolingChannel,
                              Dissipator, make_noise_jumps,
                              lindblad_step, unitary_step, pulse_kraus,
-                             apply_kraus, p_up, recoil_diffusion, recoil_kick)
+                             apply_kraus, recoil_diffusion, recoil_kick)
 
-from helpers import composite_split_step, ket, parity, projector, spin_reset
+from helpers import (composite_split_step, embed_down, ket, p_up, projector,
+                     spin_reset)
 
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
 DERIVED = derive(DriveParams.from_khz(26.0, 24.0, 9.0, 20.0))
@@ -339,7 +340,7 @@ def test_noise_free_cooling_stage_trace_and_positivity(mode):
 def test_exact_pulse_matches_sideband_rotation():
     cut = FockCutoff(12)
     rho = random_state(cut.n_max, seed=2)
-    rotated = unitary_step(fs.embed_down(rho), h_red_sideband(COOL.omega_c, cut),
+    rotated = unitary_step(embed_down(rho), h_red_sideband(COOL.omega_c, cut),
                            COOL.tau_c)
     out = apply_kraus(pulse_kraus(THETA, cut), rho)
     assert np.abs(out - fs.trace_out_spin(rotated)).max() < 1e-12
@@ -365,33 +366,37 @@ def test_split_step_matches_lindblad_step():
     H = h_qrm(DERIVED, cut)
     noise = NoiseParams(heating_rate=5e-3, dephasing_rate=2e-2)
     jumps = make_noise_jumps(noise, cut)
-    rho = fs.embed_down(fs.thermal_state(1.5, cut, eps=5e-3))
+    rho_m = fs.thermal_state(1.5, cut, eps=5e-3)
     t = 20.0
-    ref = lindblad_step(rho, H, lifted(jumps), t)
-    out = SplitStepPropagator(H, jumps, t).apply(rho)
-    # the Strang splitting error of the 0.5 us slice: 3.7e-6 measured
-    assert 1e-6 < np.abs(out - ref).max() < 1e-5
+    ref = lindblad_step(embed_down(rho_m), H, lifted(jumps), t)
+    out, pup = SplitStepPropagator(H, jumps, t).apply(rho_m)
+    # the Strang splitting error of the 0.5 us slice: 2.4e-6 measured on
+    # the state and 4.1e-6 on p_up
+    assert 1e-6 < np.abs(out - fs.trace_out_spin(ref)).max() < 1e-5
+    assert 1e-6 < abs(pup - p_up(ref)) < 1e-5
     # a diagonal generator, as a dense input, commutes with the phase-
     # covariant dissipator, so the split is exact
     Hd = np.diag(np.diag(H)).astype(complex)
-    ref_d = lindblad_step(rho, Hd, lifted(jumps), t)
-    out_d = SplitStepPropagator(Hd, jumps, t).apply(rho)
-    assert np.abs(out_d - ref_d).max() < 1e-12
+    ref_d = lindblad_step(embed_down(rho_m), Hd, lifted(jumps), t)
+    out_d, pup_d = SplitStepPropagator(Hd, jumps, t).apply(rho_m)
+    assert np.abs(out_d - fs.trace_out_spin(ref_d)).max() < 1e-12
+    assert abs(pup_d - p_up(ref_d)) < 1e-12
 
 
 def test_split_step_without_jumps_is_unitary():
     cut = FockCutoff(6)
     H = h_qrm(DERIVED, cut)
-    rho = projector(cut, 0, 2)
-    out = SplitStepPropagator(H, [], 13.0).apply(rho)
-    assert np.abs(out - unitary_step(rho, H, 13.0)).max() < 1e-10
+    out, pup = SplitStepPropagator(H, [], 13.0).apply(fock(cut.n_max, 2))
+    ref = unitary_step(projector(cut, 0, 2), H, 13.0)
+    assert np.abs(out - fs.trace_out_spin(ref)).max() < 1e-10
+    assert abs(pup - p_up(ref)) < 1e-10
 
 
-def sector_state(cut, seed):
-    """A random spin (x) boson state without coherences between the parity
-    sectors: the mean of rho and P rho P."""
-    rho = random_state(cut.dim - 1, seed)
-    p = parity(cut)
+def even_state(n_max, seed):
+    """A random boson state without odd offsets: the mean of rho and
+    P rho P for the boson parity P = (-1)^n."""
+    rho = random_state(n_max, seed)
+    p = (-1.0) ** np.arange(n_max + 1)
     return 0.5 * (rho + p[:, None] * rho * p[None, :])
 
 
@@ -403,9 +408,11 @@ def test_chain_split_step_matches_composite(stage, n_max):
             else (h_red_sideband(COOL.omega_c, cut), COOL.tau_c))
     jumps = make_noise_jumps(NoiseParams(heating_rate=5e-3,
                                          dephasing_rate=2e-2), cut)
-    rho = sector_state(cut, seed=n_max)
-    out = SplitStepPropagator(H, jumps, t).apply(rho)
-    assert np.abs(out - composite_split_step(H, jumps, t, rho)).max() <= 1e-12
+    rho_m = even_state(n_max, seed=n_max)
+    out, pup = SplitStepPropagator(H, jumps, t).apply(rho_m)
+    ref = composite_split_step(H, jumps, t, embed_down(rho_m))
+    assert np.abs(out - fs.trace_out_spin(ref)).max() <= 1e-12
+    assert abs(pup - p_up(ref)) <= 1e-12
 
 
 def test_split_step_rejects_parity_breaking():
@@ -418,13 +425,13 @@ def test_split_step_rejects_parity_breaking():
     with pytest.raises(ValueError, match="parity"):
         ch.sector_propagators(H + 0.01 * flip, 1.0)
     prop = SplitStepPropagator(H, [], 1.0)
-    rho = sector_state(cut, seed=1)
-    # |down, 0> and |up, 0> lie in different sectors
-    rho[0, cut.bdim] = rho[cut.bdim, 0] = 1e-13
-    prop.apply(rho)
-    rho[0, cut.bdim] = rho[cut.bdim, 0] = 1e-11
+    rho_m = even_state(cut.n_max, seed=1)
+    # |down, 0> and |down, 1> lie in different sectors
+    rho_m[0, 1] = rho_m[1, 0] = 1e-13
+    prop.apply(rho_m)
+    rho_m[0, 1] = rho_m[1, 0] = 1e-11
     with pytest.raises(ValueError, match="parity"):
-        prop.apply(rho)
+        prop.apply(rho_m)
 
 
 def test_zero_amplitude_cooling_pulse_keeps_populations():

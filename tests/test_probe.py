@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from iondpt import fockspace as fs
 from iondpt.fockspace import FockCutoff, thermal_state
 from iondpt.model import h_blue_sideband, khz
 from iondpt import probe as pr
 from iondpt.probe import (ProbeScan, simulate_probe, fit_populations,
                           nbar_from_fit, measure_nbar, default_probe_times,
                           scan_to_csv, scan_from_csv, FitError, PopulationFit)
+
+from helpers import embed_down
 
 OMEGA = khz(20.0)
 
@@ -39,7 +40,7 @@ def composite_probe_reference(rho_m, omega, times):
     on the composite space, by eigendecomposition, one time at a time."""
     cut = FockCutoff(rho_m.shape[0] - 1)
     w, v = np.linalg.eigh(h_blue_sideband(omega, cut))
-    rho_eig = v.conj().T @ fs.embed_down(rho_m) @ v
+    rho_eig = v.conj().T @ embed_down(rho_m) @ v
     up = slice(cut.bdim, cut.dim)
     p = []
     for t in times:
