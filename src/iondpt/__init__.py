@@ -4,8 +4,8 @@ phase transition of the quantum Rabi model on a single trapped ion.
 The package is organized around small focused modules:
 
 - fockspace: the truncated Fock space and boson-state helpers; its
-  composite spin-boson space is for Hamiltonians and test references only
-- model: parameter derivation, Hamiltonians
+  composite spin-boson space is for test references only
+- model: parameter derivation, Hamiltonians on their two parity sectors
 - channels: unitary/Lindblad propagation, the cooling channel, noise
 - protocol: the repeated drive -> dissipate cycle engine
 - probe: blue-sideband population measurement emulation and fitting

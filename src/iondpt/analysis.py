@@ -68,11 +68,24 @@ def _steady_point(args):
                 cycles=traj.cycles_run, n_max=int(traj.n_max_used[-1]))
 
 
+def _point_configs(make, values, axis=True):
+    """make(v) for every scan value, all built before any point runs.  A
+    value that fails a check, or an axis whose values do not strictly
+    increase, is reported as ConfigError."""
+    from .config import ConfigError   # keeps yaml out of `import iondpt`
+    try:
+        if axis and np.any(np.diff(values) <= 0):
+            raise ValueError("scan axis must be strictly increasing")
+        return [make(v) for v in values]
+    except ValueError as exc:
+        raise ConfigError(f"scan: {exc}") from exc
+
+
 def _dispatch(base_config, configs, readout, probe_opts, threads):
     """Steady-state point per config.  A probe readout resolves its
     frequency first, so a bad one is rejected before any point runs."""
     if readout == "probe":
-        from .config import probe_frequency   # keeps yaml out of `import iondpt`
+        from .config import probe_frequency
         probe_opts = dict(probe_opts or {})
         probe_opts["omega_probe"] = probe_frequency(probe_opts,
                                                     base_config.cool)
@@ -97,10 +110,14 @@ def _collect(axis, values, rows, base_config, label=""):
 def g_scan(base_config, g_values, readout="direct", probe_opts=None, threads=1):
     """Steady-state nbar versus dimensionless coupling g at fixed detunings."""
     g_values = np.asarray(g_values, dtype=float)
-    if np.any(g_values <= 0):
-        raise ValueError("g values must be > 0")
-    configs = [config_with_coupling(base_config, g) for g in g_values]
-    rows = _dispatch(base_config, configs, readout, probe_opts, threads)
+
+    def make(g):
+        if not g > 0:
+            raise ValueError("g values must be > 0")
+        return config_with_coupling(base_config, g)
+
+    rows = _dispatch(base_config, _point_configs(make, g_values), readout,
+                     probe_opts, threads)
     return _collect("g", g_values, rows, base_config)
 
 
@@ -109,16 +126,20 @@ def r_scan(base_config, r_values, fixed_g, readout="direct", probe_opts=None,
     """Steady-state nbar versus frequency ratio R at fixed g and fixed
     delta_b - delta_r."""
     r_values = np.asarray(r_values, dtype=float)
-    configs = [config_with_ratio(base_config, r, g=fixed_g) for r in r_values]
+    configs = _point_configs(
+        lambda r: config_with_ratio(base_config, r, g=fixed_g), r_values)
     rows = _dispatch(base_config, configs, readout, probe_opts, threads)
     return _collect("R", r_values, rows, base_config, label=f"g={fixed_g}")
 
 
 def cooling_scan(base_config, omega_c_values, g_values, threads=1):
-    """One g-scan per cooling Rabi frequency omega_c."""
+    """One g-scan per cooling Rabi frequency omega_c, every omega_c checked
+    before the first g-scan runs."""
+    bases = _point_configs(lambda omega_c: replace(
+        base_config, cool=replace(base_config.cool, omega_c=omega_c)),
+        omega_c_values, axis=False)
     results = []
-    for omega_c in omega_c_values:
-        cfg = replace(base_config, cool=replace(base_config.cool, omega_c=omega_c))
+    for omega_c, cfg in zip(omega_c_values, bases):
         scan = g_scan(cfg, g_values, threads=threads)
         scan.label = f"omega_c={omega_c:.6g}"
         results.append(scan)

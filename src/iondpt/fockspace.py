@@ -1,10 +1,10 @@
-"""Truncated qubit (x) Fock space linear algebra.
+"""Truncated Fock space: the cutoff, boson operators and states.
 
-All operators and states are dense complex numpy arrays.  The composite
-basis ordering is |s> (x) |n> with the spin as the slow index, spin down
-at index 0, so the flat index of |s, n> is s*(n_max+1) + n.  The composite
-space holds Hamiltonians and the test references only: the state the
-simulation carries is the boson density matrix rho_m.
+All operators and states are dense complex numpy arrays.  The state the
+simulation carries is the boson density matrix rho_m.  The composite
+qubit (x) Fock space, ordered |s> (x) |n> with the spin as the slow index
+and spin down at index 0 (flat index s*(n_max+1) + n), is for test
+references only.
 """
 
 import numpy as np
@@ -49,26 +49,6 @@ def build_boson_ops(cutoff):
     adag = a.conj().T
     num = adag @ a
     return a, adag, num
-
-
-def build_spin_ops():
-    """Return (sigma_plus, sigma_minus, sigma_z, projector_down), basis (down, up)."""
-    sp = np.array([[0, 0], [1, 0]], dtype=complex)   # |up><down|
-    sm = np.array([[0, 1], [0, 0]], dtype=complex)   # |down><up|
-    sz = np.diag([-1.0, 1.0]).astype(complex)
-    p_down = np.diag([1.0, 0.0]).astype(complex)
-    return sp, sm, sz, p_down
-
-
-def tensor(spin_part, boson_part):
-    """Kronecker product with the spin as the slow index."""
-    spin_part = np.asarray(spin_part)
-    boson_part = np.asarray(boson_part)
-    if spin_part.shape != (2, 2):
-        raise ValueError(f"spin factor must be 2x2, got {spin_part.shape}")
-    if boson_part.ndim != 2 or boson_part.shape[0] != boson_part.shape[1]:
-        raise ValueError(f"boson factor must be square, got {boson_part.shape}")
-    return np.kron(spin_part, boson_part)
 
 
 def expectation(rho, obs):

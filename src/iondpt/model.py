@@ -1,5 +1,8 @@
 """Parameter derivation and Hamiltonian builders.
 
+Each Hamiltonian is built as the pair (d, e) of its two real tridiagonal
+parity sectors (_sector_pair), never as a spin (x) boson matrix.
+
 Internal units are microseconds and rad/us throughout.  Configuration files
 quote ordinary frequencies in kHz and rates in 1/s; the converters below are
 the only place those units are touched.
@@ -7,8 +10,6 @@ the only place those units are touched.
 
 import numpy as np
 from dataclasses import dataclass
-
-from .fockspace import build_boson_ops, build_spin_ops, tensor
 
 HERMITICITY_REL_TOL = 1e-12
 
@@ -97,44 +98,35 @@ def check_hermitian(H, name):
         raise ValueError(f"{name} not Hermitian: relative asymmetry {asym / scale:.3e}")
 
 
+def _sector_pair(cutoff, omega_a, omega_f, links):
+    """A Hamiltonian conserving the parity -sigma_z (-1)^n as (d, e), the
+    diagonals and off-diagonals of its two real tridiagonal sectors, shapes
+    (2, b) and (2, b - 1) (Braak, PRL 107, 100401 (2011)).  Position n of
+    sector p holds spin s = (n + p) % 2 (0 = down) at boson n, with energy
+    (2s - 1) omega_a / 2 + omega_f n; links[s] sqrt(n + 1) couples it to
+    position n + 1, so links (0, x) are the red sideband |up, n>-|down, n+1>
+    and (x, 0) the blue |down, n>-|up, n+1>."""
+    p, n = np.indices((2, cutoff.bdim))
+    s = (n + p) % 2
+    d = (2 * s - 1) * 0.5 * omega_a + omega_f * n
+    return d, np.asarray(links)[s[:, :-1]] * np.sqrt(n[:, :-1] + 1.0)
+
+
 def h_qrm(derived, cutoff):
-    """Rabi-model drive Hamiltonian on the composite space."""
-    a, adag, num = build_boson_ops(cutoff)
-    sp, sm, sz, _ = build_spin_ops()
-    eye_b = np.eye(cutoff.bdim)
-    H = (0.5 * derived.omega_a * tensor(sz, eye_b)
-         + derived.omega_f * tensor(np.eye(2), num)
-         + derived.lam * tensor(sp + sm, a + adag))
-    check_hermitian(H, "h_qrm")
-    return H
+    """Rabi-model drive Hamiltonian on the parity sectors."""
+    return _sector_pair(cutoff, derived.omega_a, derived.omega_f,
+                        (derived.lam, derived.lam))
 
 
 def h_red_sideband(omega_c, cutoff):
     """Resonant red-sideband Hamiltonian (Omega_c/2)(a sigma+ + a^dag sigma-)."""
     if omega_c <= 0:
         raise ValueError("omega_c must be > 0")
-    a, adag, _ = build_boson_ops(cutoff)
-    sp, sm, _, _ = build_spin_ops()
-    H = 0.5 * omega_c * (tensor(sp, a) + tensor(sm, adag))
-    check_hermitian(H, "h_red_sideband")
-    return H
+    return _sector_pair(cutoff, 0.0, 0.0, (0.0, 0.5 * omega_c))
 
 
 def h_blue_sideband(omega_probe, cutoff):
     """Blue-sideband probe Hamiltonian (Omega/2)(a^dag sigma+ + a sigma-)."""
     if omega_probe <= 0:
         raise ValueError("omega_probe must be > 0")
-    a, adag, _ = build_boson_ops(cutoff)
-    sp, sm, _, _ = build_spin_ops()
-    H = 0.5 * omega_probe * (tensor(sp, adag) + tensor(sm, a))
-    check_hermitian(H, "h_blue_sideband")
-    return H
-
-
-def frame_shift_diagonal(derived, cutoff):
-    """Diagonal of the decoupled Rabi Hamiltonian (omega_a/2) sz + omega_f n,
-    the free evolution between drive stages."""
-    n = np.arange(cutoff.bdim)
-    down = -0.5 * derived.omega_a + derived.omega_f * n
-    up = +0.5 * derived.omega_a + derived.omega_f * n
-    return np.concatenate([down, up])
+    return _sector_pair(cutoff, 0.0, 0.0, (0.5 * omega_probe, 0.0))

@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ValueError("max_cycles must be >= 1")
         if self.channel_mode not in CHANNEL_MODES:
             raise ValueError(f"unknown channel mode {self.channel_mode!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -6,9 +6,11 @@ import pytest
 from iondpt import fockspace as fs
 from iondpt.channels import (Dissipator, SplitStepPropagator, make_noise_jumps,
                              recoil_diffusion, recoil_kick, unitary_propagator)
-from iondpt.model import derive, frame_shift_diagonal, h_qrm, h_red_sideband
+from iondpt import model
+from iondpt.model import derive
 
-from helpers import embed_down, number_full, p_up, spin_reset
+from helpers import (embed_down, frame_shift_diagonal, h_qrm, h_red_sideband,
+                     number_full, p_up, spin_reset)
 
 
 def composite_cycles_nbar(config, cutoff, n_cycles, t0):
@@ -30,8 +32,6 @@ def composite_cycles_nbar(config, cutoff, n_cycles, t0):
     cool, noise = config.cool, config.noise
     h0 = frame_shift_diagonal(derived, cutoff)
     jumps = make_noise_jumps(noise, cutoff)
-    H = h_qrm(derived, cutoff)
-    H_c = h_red_sideband(cool.omega_c, cutoff)
 
     def chain_step(h, t):
         apply = SplitStepPropagator(h, jumps, t).apply
@@ -48,11 +48,13 @@ def composite_cycles_nbar(config, cutoff, n_cycles, t0):
         return step
 
     if jumps:
-        drive = chain_step(H, config.drive.tau)
-        exact_pulse = chain_step(H_c, cool.tau_c)
+        drive = chain_step(model.h_qrm(derived, cutoff), config.drive.tau)
+        exact_pulse = chain_step(model.h_red_sideband(cool.omega_c, cutoff),
+                                 cool.tau_c)
     else:
-        U = unitary_propagator(H, config.drive.tau)
-        U_c = unitary_propagator(H_c, cool.tau_c)
+        U = unitary_propagator(h_qrm(derived, cutoff), config.drive.tau)
+        U_c = unitary_propagator(h_red_sideband(cool.omega_c, cutoff),
+                                 cool.tau_c)
         drive = composite_step(lambda rho: U @ rho @ U.conj().T)
         exact_pulse = composite_step(lambda rho: U_c @ rho @ U_c.conj().T)
     if config.channel_mode == "exact":

@@ -1,15 +1,77 @@
-"""Composite-space helpers that only the tests use."""
+"""Composite-space helpers that only the tests use: the spin (x) boson
+space, its Hamiltonians from Kronecker products, the independent
+references for the parity-sector pairs of iondpt.model, and its states."""
 
 import numpy as np
 
 from iondpt import channels as ch
 from iondpt import fockspace as fs
+from iondpt.model import check_hermitian
+
+
+def build_spin_ops():
+    """Return (sigma_plus, sigma_minus, sigma_z, projector_down), basis (down, up)."""
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)   # |up><down|
+    sm = np.array([[0, 1], [0, 0]], dtype=complex)   # |down><up|
+    sz = np.diag([-1.0, 1.0]).astype(complex)
+    p_down = np.diag([1.0, 0.0]).astype(complex)
+    return sp, sm, sz, p_down
+
+
+def tensor(spin_part, boson_part):
+    """Kronecker product with the spin as the slow index."""
+    spin_part = np.asarray(spin_part)
+    boson_part = np.asarray(boson_part)
+    if spin_part.shape != (2, 2):
+        raise ValueError(f"spin factor must be 2x2, got {spin_part.shape}")
+    if boson_part.ndim != 2 or boson_part.shape[0] != boson_part.shape[1]:
+        raise ValueError(f"boson factor must be square, got {boson_part.shape}")
+    return np.kron(spin_part, boson_part)
+
+
+def h_qrm(derived, cutoff):
+    """Rabi-model drive Hamiltonian on the composite space."""
+    a, adag, num = fs.build_boson_ops(cutoff)
+    sp, sm, sz, _ = build_spin_ops()
+    eye_b = np.eye(cutoff.bdim)
+    H = (0.5 * derived.omega_a * tensor(sz, eye_b)
+         + derived.omega_f * tensor(np.eye(2), num)
+         + derived.lam * tensor(sp + sm, a + adag))
+    check_hermitian(H, "h_qrm")
+    return H
+
+
+def h_red_sideband(omega_c, cutoff):
+    """Resonant red-sideband Hamiltonian (Omega_c/2)(a sigma+ + a^dag sigma-)."""
+    a, adag, _ = fs.build_boson_ops(cutoff)
+    sp, sm, _, _ = build_spin_ops()
+    H = 0.5 * omega_c * (tensor(sp, a) + tensor(sm, adag))
+    check_hermitian(H, "h_red_sideband")
+    return H
+
+
+def h_blue_sideband(omega_probe, cutoff):
+    """Blue-sideband probe Hamiltonian (Omega/2)(a^dag sigma+ + a sigma-)."""
+    a, adag, _ = fs.build_boson_ops(cutoff)
+    sp, sm, _, _ = build_spin_ops()
+    H = 0.5 * omega_probe * (tensor(sp, adag) + tensor(sm, a))
+    check_hermitian(H, "h_blue_sideband")
+    return H
+
+
+def frame_shift_diagonal(derived, cutoff):
+    """Diagonal of the decoupled Rabi Hamiltonian (omega_a/2) sz + omega_f n,
+    the free evolution between drive stages."""
+    n = np.arange(cutoff.bdim)
+    down = -0.5 * derived.omega_a + derived.omega_f * n
+    up = +0.5 * derived.omega_a + derived.omega_f * n
+    return np.concatenate([down, up])
 
 
 def number_full(cutoff):
     """a^dag a on the composite space."""
     _, _, num = fs.build_boson_ops(cutoff)
-    return fs.tensor(np.eye(2), num)
+    return tensor(np.eye(2), num)
 
 
 def ket(cutoff, spin, n):

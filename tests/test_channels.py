@@ -3,15 +3,17 @@ import pytest
 
 from iondpt import fockspace as fs
 from iondpt.fockspace import FockCutoff
-from iondpt.model import DriveParams, CoolParams, derive, khz, h_red_sideband, h_qrm
+from iondpt import model
+from iondpt.model import DriveParams, CoolParams, derive, khz
 from iondpt import channels as ch
 from iondpt.channels import (NoiseParams, SplitStepPropagator, CoolingChannel,
                              Dissipator, make_noise_jumps,
                              lindblad_step, unitary_step, pulse_kraus,
                              apply_kraus, recoil_diffusion, recoil_kick)
 
-from helpers import (composite_split_step, embed_down, ket, p_up, projector,
-                     spin_reset)
+import helpers
+from helpers import (composite_split_step, embed_down, h_qrm, h_red_sideband,
+                     ket, p_up, projector, spin_reset, tensor)
 
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
 DERIVED = derive(DriveParams.from_khz(26.0, 24.0, 9.0, 20.0))
@@ -59,7 +61,7 @@ def pulse_map(mode, theta, cut):
 
 def lifted(jumps):
     """Spin-identity extensions I (x) L of boson jumps."""
-    return [fs.tensor(np.eye(2), L) for L in jumps]
+    return [tensor(np.eye(2), L) for L in jumps]
 
 
 def random_state(n_max, seed):
@@ -84,7 +86,7 @@ def test_noise_params_validation_and_units():
 def test_unitary_step_phase_and_energy():
     cut = FockCutoff(2)
     omega = khz(25.0)
-    sz = fs.tensor(np.diag([-1.0, 1.0]), np.eye(cut.bdim))
+    sz = tensor(np.diag([-1.0, 1.0]), np.eye(cut.bdim))
     H = 0.5 * omega * sz
     psi = (ket(cut, 0, 0) + ket(cut, 1, 0)) / np.sqrt(2)
     rho = np.outer(psi, psi.conj())
@@ -369,16 +371,18 @@ def test_split_step_matches_lindblad_step():
     rho_m = fs.thermal_state(1.5, cut, eps=5e-3)
     t = 20.0
     ref = lindblad_step(embed_down(rho_m), H, lifted(jumps), t)
-    out, pup = SplitStepPropagator(H, jumps, t).apply(rho_m)
+    out, pup = SplitStepPropagator(model.h_qrm(DERIVED, cut), jumps,
+                                   t).apply(rho_m)
     # the Strang splitting error of the 0.5 us slice: 2.4e-6 measured on
     # the state and 4.1e-6 on p_up
     assert 1e-6 < np.abs(out - fs.trace_out_spin(ref)).max() < 1e-5
     assert 1e-6 < abs(pup - p_up(ref)) < 1e-5
-    # a diagonal generator, as a dense input, commutes with the phase-
-    # covariant dissipator, so the split is exact
+    # a diagonal generator commutes with the phase-covariant dissipator, so
+    # the split is exact
     Hd = np.diag(np.diag(H)).astype(complex)
     ref_d = lindblad_step(embed_down(rho_m), Hd, lifted(jumps), t)
-    out_d, pup_d = SplitStepPropagator(Hd, jumps, t).apply(rho_m)
+    d, e = model.h_qrm(DERIVED, cut)
+    out_d, pup_d = SplitStepPropagator((d, 0 * e), jumps, t).apply(rho_m)
     assert np.abs(out_d - fs.trace_out_spin(ref_d)).max() < 1e-12
     assert abs(pup_d - p_up(ref_d)) < 1e-12
 
@@ -386,7 +390,8 @@ def test_split_step_matches_lindblad_step():
 def test_split_step_without_jumps_is_unitary():
     cut = FockCutoff(6)
     H = h_qrm(DERIVED, cut)
-    out, pup = SplitStepPropagator(H, [], 13.0).apply(fock(cut.n_max, 2))
+    out, pup = SplitStepPropagator(model.h_qrm(DERIVED, cut), [],
+                                   13.0).apply(fock(cut.n_max, 2))
     ref = unitary_step(projector(cut, 0, 2), H, 13.0)
     assert np.abs(out - fs.trace_out_spin(ref)).max() < 1e-10
     assert abs(pup - p_up(ref)) < 1e-10
@@ -404,27 +409,22 @@ def even_state(n_max, seed):
 @pytest.mark.parametrize("stage", ["drive", "pulse"])
 def test_chain_split_step_matches_composite(stage, n_max):
     cut = FockCutoff(n_max)
-    H, t = ((h_qrm(DERIVED, cut), 20.0) if stage == "drive"
-            else (h_red_sideband(COOL.omega_c, cut), COOL.tau_c))
+    name, x, t = (("h_qrm", DERIVED, 20.0) if stage == "drive"
+                  else ("h_red_sideband", COOL.omega_c, COOL.tau_c))
     jumps = make_noise_jumps(NoiseParams(heating_rate=5e-3,
                                          dephasing_rate=2e-2), cut)
     rho_m = even_state(n_max, seed=n_max)
-    out, pup = SplitStepPropagator(H, jumps, t).apply(rho_m)
-    ref = composite_split_step(H, jumps, t, embed_down(rho_m))
+    out, pup = SplitStepPropagator(getattr(model, name)(x, cut), jumps,
+                                   t).apply(rho_m)
+    ref = composite_split_step(getattr(helpers, name)(x, cut), jumps, t,
+                               embed_down(rho_m))
     assert np.abs(out - fs.trace_out_spin(ref)).max() <= 1e-12
     assert abs(pup - p_up(ref)) <= 1e-12
 
 
 def test_split_step_rejects_parity_breaking():
     cut = FockCutoff(8)
-    H = h_qrm(DERIVED, cut)
-    # a bare spin flip changes the parity -sigma_z (-1)^n
-    flip = fs.tensor(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(cut.bdim))
-    with pytest.raises(ValueError, match="parity"):
-        SplitStepPropagator(H + 0.01 * flip, [], 1.0)
-    with pytest.raises(ValueError, match="parity"):
-        ch.sector_propagators(H + 0.01 * flip, 1.0)
-    prop = SplitStepPropagator(H, [], 1.0)
+    prop = SplitStepPropagator(model.h_qrm(DERIVED, cut), [], 1.0)
     rho_m = even_state(cut.n_max, seed=1)
     # |down, 0> and |down, 1> lie in different sectors
     rho_m[0, 1] = rho_m[1, 0] = 1e-13

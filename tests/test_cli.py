@@ -237,6 +237,30 @@ def test_probe_frequency_from_zero_cooling_rabi_rejected(tmp_path, monkeypatch,
                            "--out-dir", str(out)]) == 2
 
 
+@pytest.mark.parametrize("command,setting", [
+    (["scan"], "scan:\n  axis: g\n  values: [0.9, 0.5]\n"),
+    (["scan"], "scan:\n  axis: g\n  values: [0.0, 0.5]\n"),
+    (["scan"], "scan:\n  axis: R\n  values: [0.5, 25.0]\n  fixed_g: 1.0\n"),
+    (["scan"], "scan:\n  axis: cooling\n  values: [0.5]\n"
+               "  omega_c_khz: [20.0, -5.0]\n"),
+    (["run", "--seed", "-1"], "jitter_sigma_khz: 0.1\n"),
+    (["run"], "jitter_sigma_khz: 0.1\nseed: -1\n"),
+    (["probe-demo", "--seed", "-1"], "probe:\n  shots: 100\n")],
+    ids=["scan-decreasing", "scan-g-zero", "scan-R-below-one",
+         "scan-negative-omega-c", "seed-flag", "seed-file", "seed-probe-demo"])
+def test_bad_setting_rejected_before_any_cycle(tmp_path, monkeypatch, command,
+                                               setting):
+    def no_cycles(config):
+        raise AssertionError("a cycle ran")
+
+    monkeypatch.setattr(cli, "run", no_cycles)
+    monkeypatch.setattr(analysis, "run", no_cycles)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(BASE_YAML.replace("seed: 0\n", "") + setting)
+    assert main(command + ["--config", str(cfg), "--threads", "1",
+                           "--out-dir", str(tmp_path / "out")]) == 2
+
+
 @pytest.mark.parametrize("setting", ["omega_probe_khz: 0.0",
                                      "omega_probe_khz: -20.0", "k_max: -3",
                                      "decay_model: foo"])

@@ -106,6 +106,10 @@ def test_invalid_physics_reported_as_config_error():
     for key, value in (("growth", 1.0), ("eps", 0.0), ("n_max", 0)):
         with pytest.raises(ConfigError, match=f"cutoff: {key}"):
             experiment_from_tree(minimal_tree(cutoff={key: value}))
+    with pytest.raises(ConfigError, match="config: seed"):
+        experiment_from_tree(minimal_tree(seed=-1))
+    with pytest.raises(ConfigError, match="config: seed"):
+        experiment_from_tree(minimal_tree(), seed=-1)
 
 
 def test_channel_and_noise_overrides():

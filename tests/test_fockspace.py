@@ -4,7 +4,8 @@ import pytest
 from iondpt import fockspace as fs
 from iondpt.fockspace import FockCutoff, StateValidityError
 
-from helpers import is_valid_density_matrix, ket, number_full, projector
+from helpers import (build_spin_ops, is_valid_density_matrix, ket, number_full,
+                     projector, tensor)
 
 
 def test_cutoff_dimensions():
@@ -26,7 +27,7 @@ def test_boson_ops_small():
 
 
 def test_spin_ops_algebra():
-    sp, sm, sz, p_down = fs.build_spin_ops()
+    sp, sm, sz, p_down = build_spin_ops()
     assert np.allclose(sp @ sm, np.diag([0, 1]))
     down = np.array([1, 0])
     assert np.allclose(sz @ down, -down)
@@ -36,26 +37,26 @@ def test_spin_ops_algebra():
 
 def test_tensor_ordering_and_errors():
     cut = FockCutoff(3)
-    sp, _, sz, _ = fs.build_spin_ops()
+    sp, _, sz, _ = build_spin_ops()
     a, _, _ = fs.build_boson_ops(cut)
-    assert np.allclose(fs.tensor(np.eye(2), np.eye(cut.bdim)), np.eye(cut.dim))
+    assert np.allclose(tensor(np.eye(2), np.eye(cut.bdim)), np.eye(cut.dim))
     up3 = ket(cut, 1, 3)
-    assert np.allclose(fs.tensor(sz, np.eye(cut.bdim)) @ up3, up3)
+    assert np.allclose(tensor(sz, np.eye(cut.bdim)) @ up3, up3)
     # tensor(sigma_plus, a)|down,1> = |up,0>
-    out = fs.tensor(sp, a) @ ket(cut, 0, 1)
+    out = tensor(sp, a) @ ket(cut, 0, 1)
     assert np.allclose(out, ket(cut, 1, 0))
     with pytest.raises(ValueError):
-        fs.tensor(np.eye(3), np.eye(4))
+        tensor(np.eye(3), np.eye(4))
     with pytest.raises(ValueError):
-        fs.tensor(np.eye(2), np.ones((2, 3)))
+        tensor(np.eye(2), np.ones((2, 3)))
 
 
 def test_tensor_mixed_product_rule():
     rng = np.random.default_rng(7)
     s1, s2 = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
     b1, b2 = rng.normal(size=(2, 5, 5)) + 1j * rng.normal(size=(2, 5, 5))
-    lhs = fs.tensor(s1, b1) @ fs.tensor(s2, b2)
-    rhs = fs.tensor(s1 @ s2, b1 @ b2)
+    lhs = tensor(s1, b1) @ tensor(s2, b2)
+    rhs = tensor(s1 @ s2, b1 @ b2)
     assert np.allclose(lhs, rhs)
 
 
@@ -64,8 +65,8 @@ def test_expectation_examples():
     num = number_full(cut)
     vac = projector(cut, 0, 0)
     assert fs.expectation(vac, num) == pytest.approx(0.0)
-    sp, sm, _, _ = fs.build_spin_ops()
-    excited = fs.tensor(sp @ sm, np.eye(cut.bdim))
+    sp, sm, _, _ = build_spin_ops()
+    excited = tensor(sp @ sm, np.eye(cut.bdim))
     up2 = projector(cut, 1, 2)
     assert fs.expectation(up2, excited) == pytest.approx(1.0)
 

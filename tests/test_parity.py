@@ -5,37 +5,46 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from iondpt.channels import NoiseParams, sector_propagators
+from iondpt import model
+from iondpt.channels import NoiseParams
 from iondpt.fockspace import FockCutoff
-from iondpt.model import (CoolParams, DriveParams, derive, h_qrm,
-                          h_red_sideband)
+from iondpt.model import CoolParams, DriveParams, derive
 from iondpt.protocol import (CutoffPolicy, ExperimentConfig, InitialState,
                              _jittered_drive, config_with_coupling,
                              run_cycles)
 
+import helpers
+
 DRIVE = DriveParams.from_khz(26.0, 24.0, 9.0, 20.0)
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
 NOISE = NoiseParams(heating_rate=1e-3, dephasing_rate=1e-3, recoil_enabled=True)
+PROBE = 2 * COOL.omega_c
 
 
 def test_sector_hamiltonians_real_tridiagonal():
+    """model's (d, e) pairs are the parity sectors of the composite
+    Kronecker references, which have no cross-sector elements."""
     cfg = ExperimentConfig(drive=DRIVE, cool=COOL, jitter_sigma=0.02, seed=5)
     drives = [DRIVE, _jittered_drive(cfg)]
     assert drives[1] != DRIVE
     for n_max in range(1, 61):
         cut = FockCutoff(n_max)
-        b = cut.bdim
+        p, n = np.indices((2, cut.bdim))
         # sector p: spin (n + p) % 2 at boson n, composite index spin*b + n
-        chains = [[(n + p) % 2 * b + n for n in range(b)] for p in (0, 1)]
-        hams = [h_qrm(derive(d), cut) for d in drives]
-        for H in hams + [h_red_sideband(COOL.omega_c, cut)]:
-            sector_propagators(H, 1.0)   # accepts H
-            for p in (0, 1):
-                block = H[np.ix_(chains[p], chains[p])]
-                assert np.all(block.imag == 0)
-                assert np.all(block == block.T)
-                assert np.all(np.triu(block, 2) == 0)
-                assert np.all(H[np.ix_(chains[p], chains[1 - p])] == 0)
+        idx = (n + p) % 2 * cut.bdim + n
+        builds = [("h_qrm", derive(d)) for d in drives] + [
+            ("h_red_sideband", COOL.omega_c), ("h_blue_sideband", PROBE)]
+        for name, x in builds:
+            d, e = getattr(model, name)(x, cut)
+            H = getattr(helpers, name)(x, cut)
+            blocks = H[idx[:, :, None], idx[:, None, :]]
+            assert np.all(blocks.imag == 0)
+            assert np.all(blocks == blocks.swapaxes(1, 2))
+            assert np.all(np.triu(blocks, 2) == 0)
+            assert np.all(H[idx[:, :, None], idx[::-1, None, :]] == 0)
+            tol = 1e-15 * np.abs(H).max()
+            assert np.abs(d - np.diagonal(blocks, 0, 1, 2).real).max() <= tol
+            assert np.abs(e - np.diagonal(blocks, 1, 1, 2).real).max() <= tol
 
 
 @pytest.mark.parametrize("mode,noise", [

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from iondpt.fockspace import FockCutoff, thermal_state
-from iondpt.model import h_blue_sideband, khz
+from iondpt.model import khz
 from iondpt import probe as pr
 from iondpt.probe import (ProbeScan, simulate_probe, fit_populations,
                           nbar_from_fit, measure_nbar, default_probe_times,
                           scan_to_csv, scan_from_csv, FitError, PopulationFit)
 
-from helpers import embed_down
+from helpers import embed_down, h_blue_sideband
 
 OMEGA = khz(20.0)
 

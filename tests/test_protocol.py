@@ -4,13 +4,15 @@ from dataclasses import replace
 
 from iondpt.fockspace import FockCutoff
 from iondpt import fockspace as fs
-from iondpt.model import DriveParams, CoolParams, derive, h_qrm
+from iondpt.model import DriveParams, CoolParams, derive
 from iondpt.channels import NoiseParams, unitary_propagator
 from iondpt.protocol import (ExperimentConfig, InitialState, Convergence,
                              CutoffPolicy, SimulationDiverged, prepare_initial,
                              run, run_cycles, run_to_convergence,
                              config_with_coupling, config_with_ratio,
                              _CyclePlan)
+
+from helpers import h_qrm
 
 DRIVE = DriveParams.from_khz(26.0, 24.0, 9.0, 20.0)
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
