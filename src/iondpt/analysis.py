@@ -81,14 +81,20 @@ def _point_configs(make, values, axis=True):
         raise ConfigError(f"scan: {exc}") from exc
 
 
+def _resolve_probe(base_config, readout, probe_opts):
+    """probe_opts with the probe frequency a probe readout runs at, so a bad
+    one is reported as ConfigError before any point runs."""
+    if readout != "probe":
+        return probe_opts
+    from .config import probe_frequency
+    probe_opts = dict(probe_opts or {})
+    probe_opts["omega_probe"] = probe_frequency(probe_opts, base_config.cool)
+    return probe_opts
+
+
 def _dispatch(base_config, configs, readout, probe_opts, threads):
-    """Steady-state point per config.  A probe readout resolves its
-    frequency first, so a bad one is rejected before any point runs."""
-    if readout == "probe":
-        from .config import probe_frequency
-        probe_opts = dict(probe_opts or {})
-        probe_opts["omega_probe"] = probe_frequency(probe_opts,
-                                                    base_config.cool)
+    """Steady-state point per config."""
+    probe_opts = _resolve_probe(base_config, readout, probe_opts)
     jobs = [(config, readout, probe_opts) for config in configs]
     if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -132,15 +138,17 @@ def r_scan(base_config, r_values, fixed_g, readout="direct", probe_opts=None,
     return _collect("R", r_values, rows, base_config, label=f"g={fixed_g}")
 
 
-def cooling_scan(base_config, omega_c_values, g_values, threads=1):
-    """One g-scan per cooling Rabi frequency omega_c, every omega_c checked
-    before the first g-scan runs."""
+def cooling_scan(base_config, omega_c_values, g_values, readout="direct",
+                 probe_opts=None, threads=1):
+    """One g-scan per cooling Rabi frequency omega_c, every omega_c and its
+    probe frequency checked before the first g-scan runs."""
     bases = _point_configs(lambda omega_c: replace(
         base_config, cool=replace(base_config.cool, omega_c=omega_c)),
         omega_c_values, axis=False)
+    opts = [_resolve_probe(cfg, readout, probe_opts) for cfg in bases]
     results = []
-    for omega_c, cfg in zip(omega_c_values, bases):
-        scan = g_scan(cfg, g_values, threads=threads)
+    for omega_c, cfg, popts in zip(omega_c_values, bases, opts):
+        scan = g_scan(cfg, g_values, readout, popts, threads)
         scan.label = f"omega_c={omega_c:.6g}"
         results.append(scan)
     return results

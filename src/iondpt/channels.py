@@ -169,20 +169,19 @@ def _offset_layout(shape, b):
     trailing zero, that gather its offset diagonals into the real (k, m, c)
     layout of _offset_generators (m >= b - k reads the zero), and back.
 
-    The state is rho_m, the (2, b, b) parity sectors of SplitStepPropagator,
-    where spin s at boson m sits in sector (s + m) % 2, or a spin (x) boson
-    state with each spin block alike, which only the composite test
-    references use.  c runs over blocks, sides and real and imaginary parts.
+    The state is a stack of b x b blocks whose block index advances with
+    the position m: rho_m is one block, and the (2, b, b) parity sectors of
+    SplitStepPropagator are two, where spin s at boson m sits in sector
+    (s + m) % 2.  c runs over blocks, sides and real and imaginary parts.
     """
+    if shape[-2:] != (b, b):
+        raise ValueError(f"expected a stack of {b} x {b} blocks, got {shape}")
     k, m = np.indices((b, b))
     on = m + k < b
     lo, hi = m * on, (m + k) * on
-    ids = np.arange(2 * np.prod(shape)).reshape(shape + (2,))
-    if len(shape) == 2:   # spin blocks of rho_m or of a spin (x) boson state
-        s = shape[0] // b
-        ids = ids.reshape(s, b, s, b, 2).swapaxes(1, 2).reshape(-1, b, b, 2)
+    ids = np.arange(2 * np.prod(shape)).reshape(-1, b, b, 2)
     n_blk = len(ids)
-    blk = (np.arange(n_blk)[:, None, None] + (len(shape) == 3) * lo) % n_blk
+    blk = (np.arange(n_blk)[:, None, None] + lo) % n_blk
     gather = np.stack([ids[blk, lo, hi], ids[blk, hi, lo]])
     gather = gather.transpose(2, 3, 0, 1, 4)   # [k, m, side, block, re/im]
     gather = np.where(on[..., None], gather.reshape(b, b, -1), ids.size)
@@ -223,7 +222,8 @@ class SplitStepPropagator:
     parity sectors plus phase-covariant boson jumps: slices of at most
     SLICE_US, each exp(-iH dt/2) D(dt) exp(-iH dt/2) with exact unitary
     halves (merged between slices) and the exact Dissipator D, so the only
-    error is the splitting's, second order in the slice.  apply carries
+    error is the splitting's, second order in the slice.  Without jumps
+    there is no splitting, and one slice is exact.  apply carries
     the pumped rho_m as the two parity sectors: |down, n> sits in sector
     n % 2 and |up, n> in the other, so rho_m must have no odd offsets.
     """
@@ -231,7 +231,7 @@ class SplitStepPropagator:
     def __init__(self, H, jumps, t):
         if t < 0:
             raise ValueError("t must be >= 0")
-        self.n_slices = max(1, int(np.ceil(t / SLICE_US)))
+        self.n_slices = max(1, int(np.ceil(t / SLICE_US))) if jumps else 1
         dt = t / self.n_slices
         half = sector_propagators(H, dt / 2.0)
         self._half, self._full = [(u, u.conj().swapaxes(1, 2))

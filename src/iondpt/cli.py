@@ -16,10 +16,8 @@ import numpy as np
 
 from . import __version__
 from . import analysis, probe
-from .channels import CHANNEL_MODES
-from .config import (NOISE_MODES, ConfigError, load_tree,
-                     experiment_from_tree, scan_spec, probe_spec,
-                     probe_frequency)
+from .config import (ConfigError, load_tree, experiment_from_tree, scan_spec,
+                     probe_spec, probe_frequency)
 from .model import khz
 from .protocol import SimulationDiverged, run
 
@@ -43,11 +41,12 @@ def _write_json(path, data, **kw):
     return path
 
 
-def _write_manifest(out_dir, stem, tree, seed, started, outputs):
+def _write_manifest(out_dir, stem, tree, seed, started, outputs, **extra):
     manifest = {
         "version": __version__,
         "config": tree,
         "seed": seed,
+        **extra,
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
         "outputs": {name: {"path": path, "sha256": _sha256(path)}
@@ -67,9 +66,9 @@ def _load_config(args):
     if not args.config:
         raise ConfigError("--config is required for this subcommand")
     tree = _read_tree(args.config)
-    config = experiment_from_tree(tree, channel=args.channel,
-                                  noise_mode=args.noise, seed=args.seed)
-    return tree, config
+    if args.seed is not None:
+        tree["seed"] = args.seed
+    return tree, experiment_from_tree(tree)
 
 
 def _stem(args):
@@ -111,12 +110,14 @@ def cmd_run(args):
 
 
 def cmd_scan(args):
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
     tree, config = _load_config(args)
     spec = scan_spec(tree)
     popts = probe_spec(tree)
     readout = "probe" if args.probe else "direct"
     started = datetime.now(timezone.utc).isoformat()
-    threads = args.threads or (os.cpu_count() or 1)
+    threads = args.threads or os.cpu_count() or 1
     if spec["axis"] == "g":
         scans = [analysis.g_scan(config, spec["values"], readout=readout,
                                  probe_opts=popts, threads=threads)]
@@ -127,6 +128,7 @@ def cmd_scan(args):
     else:
         omega_values = [khz(f) for f in spec["omega_c_khz"]]
         scans = analysis.cooling_scan(config, omega_values, spec["values"],
+                                      readout=readout, probe_opts=popts,
                                       threads=threads)
 
     stem = _stem(args)
@@ -139,7 +141,7 @@ def cmd_scan(args):
         label = f" [{scan.label}]" if scan.label else ""
         print(f"wrote {path}{label}")
     manifest = _write_manifest(args.out_dir, stem, tree, config.seed, started,
-                               outputs)
+                               outputs, readout=readout)
     print(f"wrote {manifest}")
     return 0
 
@@ -238,13 +240,10 @@ def build_parser():
                     "phase transition of the quantum Rabi model")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p):
         p.add_argument("--config", help="YAML configuration file")
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--channel", choices=CHANNEL_MODES, default=None)
-        p.add_argument("--noise", choices=NOISE_MODES, default=None)
 
     p_run = sub.add_parser("run", help="simulate one trajectory")
     common(p_run)
@@ -254,6 +253,8 @@ def build_parser():
     common(p_scan)
     p_scan.add_argument("--probe", action="store_true",
                         help="read out nbar through the probe emulation")
+    p_scan.add_argument("--threads", type=int, default=None,
+                        help="worker processes (default: one per core)")
     p_scan.set_defaults(func=cmd_scan)
 
     p_fit = sub.add_parser("fit", help="fit a stored CSV dataset")

@@ -3,8 +3,9 @@
 Config files are YAML trees quoting ordinary frequencies in kHz, times in
 microseconds and rates in 1/s, so every experimental number can be typed
 verbatim; they are converted to internal units on loading, through the
-converters of model.  A key the file omits takes the default of the
-parameter dataclass it feeds, and the dataclasses make the checks.
+converters of model.  The tree alone sets a run, channel and noise
+included.  A key it omits takes the default of the parameter dataclass it
+feeds, and the dataclasses make the checks.
 """
 
 import numpy as np
@@ -15,11 +16,6 @@ from .model import DriveParams, CoolParams, khz
 from .probe import DECAY_MODELS
 from .protocol import (ExperimentConfig, InitialState, Convergence,
                        CutoffPolicy)
-
-
-# noise overrides: none, the file's decoherence rates without recoil, or
-# those rates with recoil
-NOISE_MODES = ("off", "decoherence", "decoherence+recoil")
 
 
 class ConfigError(ValueError):
@@ -47,6 +43,17 @@ def _integer(mapping, key, where):
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{where}.{key}: expected an integer, got {val!r}")
     return val
+
+
+def _numbers(mapping, key, where):
+    """A non-empty list of numbers, as floats."""
+    val = _require(mapping, key, where)
+    if (not isinstance(val, list) or not val
+            or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                   for v in val)):
+        raise ConfigError(f"{where}.{key}: expected a non-empty list of "
+                          f"numbers, got {val!r}")
+    return [float(v) for v in val]
 
 
 def _mapping(tree, key, where, required=True):
@@ -104,24 +111,16 @@ def load_tree(path):
     return tree
 
 
-def experiment_from_tree(tree, channel=None, noise_mode=None, seed=None):
-    """Build an ExperimentConfig; CLI overrides win over file values."""
-    noise = _noise(tree)
-    if noise_mode is not None and noise_mode not in NOISE_MODES:
-        raise ConfigError(f"noise mode: unknown {noise_mode!r}")
-    if noise_mode == "off":
-        noise = NoiseParams()
-    elif noise_mode is not None:
-        from dataclasses import replace
-        noise = replace(noise, recoil_enabled=noise_mode == "decoherence+recoil")
+def experiment_from_tree(tree):
+    """The ExperimentConfig of a tree: every setting of the run."""
     cycles = _mapping(tree, "cycles", "config", required=False)
     kw = {}
-    if channel or "channel" in tree:
-        kw["channel_mode"] = channel or tree["channel"]
+    if "channel" in tree:
+        kw["channel_mode"] = tree["channel"]
     if "max" in cycles:
         kw["max_cycles"] = _integer(cycles, "max", "cycles")
-    if seed is not None or "seed" in tree:
-        kw["seed"] = seed if seed is not None else _integer(tree, "seed", "config")
+    if "seed" in tree:
+        kw["seed"] = _integer(tree, "seed", "config")
     if "jitter_sigma_khz" in tree:
         kw["jitter_sigma"] = khz(_number(tree, "jitter_sigma_khz", "config"))
     return _build(
@@ -131,7 +130,7 @@ def experiment_from_tree(tree, channel=None, noise_mode=None, seed=None):
                         "tau_us"), required=True),
         cool=_section(tree, "cool", CoolParams.from_khz,
                       ("omega_c_khz", "tau_c_us", "tau_d_us"), required=True),
-        noise=noise,
+        noise=_noise(tree),
         initial=_section(tree, "initial", InitialState, ("nbar",),
                          as_is=("kind",)),
         convergence=_section(tree, "cycles", Convergence, ("tol",),
@@ -141,9 +140,8 @@ def experiment_from_tree(tree, channel=None, noise_mode=None, seed=None):
         **kw)
 
 
-def load_experiment(path, channel=None, noise_mode=None, seed=None):
-    return experiment_from_tree(load_tree(path), channel=channel,
-                                noise_mode=noise_mode, seed=seed)
+def load_experiment(path):
+    return experiment_from_tree(load_tree(path))
 
 
 def scan_spec(tree):
@@ -153,12 +151,7 @@ def scan_spec(tree):
     if axis not in ("g", "R", "cooling"):
         raise ConfigError(f"scan.axis: expected g, R or cooling, got {axis!r}")
     if "values" in sec:
-        values = sec["values"]
-        if (not isinstance(values, list) or len(values) == 0
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in values)):
-            raise ConfigError("scan.values: expected a non-empty list of numbers")
-        values = [float(v) for v in values]
+        values = _numbers(sec, "values", "scan")
     else:
         start = _number(sec, "start", "scan")
         stop = _number(sec, "stop", "scan")
@@ -170,12 +163,7 @@ def scan_spec(tree):
     if axis == "R":
         out["fixed_g"] = _number(sec, "fixed_g", "scan")
     if axis == "cooling":
-        omega = sec.get("omega_c_khz")
-        if (not isinstance(omega, list) or len(omega) == 0
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in omega)):
-            raise ConfigError("scan.omega_c_khz: expected a non-empty list of kHz values")
-        out["omega_c_khz"] = [float(v) for v in omega]
+        out["omega_c_khz"] = _numbers(sec, "omega_c_khz", "scan")
     return out
 
 

@@ -10,7 +10,7 @@ from iondpt import model
 from iondpt.model import derive
 
 from helpers import (embed_down, frame_shift_diagonal, h_qrm, h_red_sideband,
-                     number_full, p_up, spin_reset)
+                     number_full, on_spin_blocks, p_up, spin_reset)
 
 
 def composite_cycles_nbar(config, cutoff, n_cycles, t0):
@@ -61,11 +61,12 @@ def composite_cycles_nbar(config, cutoff, n_cycles, t0):
         pulse = exact_pulse
     else:
         a = fs.build_boson_ops(cutoff)[0]
-        pulse = composite_step(Dissipator(
+        pulse = composite_step(on_spin_blocks(Dissipator(
             [0.5 * cool.omega_c * np.sqrt(cool.tau_c) * a] + jumps,
-            cool.tau_c).apply)
+            cool.tau_c).apply))
     t_idle = cool.tau_d - cool.tau_c
-    idle_noise = Dissipator(jumps, t_idle).apply if jumps else (lambda r: r)
+    idle_noise = (on_spin_blocks(Dissipator(jumps, t_idle).apply) if jumps
+                  else (lambda r: r))
     diffusion = recoil_diffusion(cutoff)
 
     def to_frame(rho, t):

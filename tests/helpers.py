@@ -117,6 +117,16 @@ def spin_reset(rho):
     return embed_down(fs.trace_out_spin(rho))
 
 
+def on_spin_blocks(apply):
+    """I (x) D on the spin (x) boson space for a boson map apply = D: D on
+    each b x b spin block of the state."""
+    def mapped(rho):
+        b = rho.shape[0] // 2
+        return np.block([[apply(rho[i * b:(i + 1) * b, j * b:(j + 1) * b])
+                          for j in (0, 1)] for i in (0, 1)])
+    return mapped
+
+
 def composite_split_step(H, jumps, t, rho):
     """The Strang split step on the whole spin (x) boson space: dense 2b
     unitary halves of exp(-iH dt/2) around the Dissipator applied to each
@@ -124,7 +134,7 @@ def composite_split_step(H, jumps, t, rho):
     parity; the reference for the parity-chain SplitStepPropagator."""
     n_slices = max(1, int(np.ceil(t / ch.SLICE_US)))
     u = ch.unitary_propagator(H, t / n_slices / 2.0)
-    dissipate = ch.Dissipator(jumps, t / n_slices).apply
+    dissipate = on_spin_blocks(ch.Dissipator(jumps, t / n_slices).apply)
     for _ in range(n_slices):
         rho = u @ dissipate(u @ rho @ u.conj().T) @ u.conj().T
     return rho

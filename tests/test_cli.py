@@ -1,9 +1,11 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from iondpt import analysis, cli
 from iondpt.cli import main
@@ -219,7 +221,8 @@ def test_probe_demo(base_config, tmp_path):
     assert rows[0][:2] == ["t_us", "p_up"]
 
 
-@pytest.mark.parametrize("command", [["probe-demo"], ["scan", "--probe"]])
+@pytest.mark.parametrize("command", [["probe-demo"],
+                                     ["scan", "--probe", "--threads", "1"]])
 def test_probe_frequency_from_zero_cooling_rabi_rejected(tmp_path, monkeypatch,
                                                         command):
     # without probe.omega_probe_khz the probe falls back to cool.omega_c_khz,
@@ -233,32 +236,90 @@ def test_probe_frequency_from_zero_cooling_rabi_rejected(tmp_path, monkeypatch,
     cfg.write_text(BASE_YAML.replace("omega_c_khz: 20.0", "omega_c_khz: 0.0")
                    + "scan:\n  axis: g\n  values: [0.8, 1.2]\n")
     out = tmp_path / "out"
-    assert main(command + ["--config", str(cfg), "--threads", "1",
-                           "--out-dir", str(out)]) == 2
+    assert main(command + ["--config", str(cfg), "--out-dir", str(out)]) == 2
+
+
+SCAN = ["scan", "--threads", "1"]
+G_SCAN = "scan:\n  axis: g\n  values: [0.8, 1.2]\n"
 
 
 @pytest.mark.parametrize("command,setting", [
-    (["scan"], "scan:\n  axis: g\n  values: [0.9, 0.5]\n"),
-    (["scan"], "scan:\n  axis: g\n  values: [0.0, 0.5]\n"),
-    (["scan"], "scan:\n  axis: R\n  values: [0.5, 25.0]\n  fixed_g: 1.0\n"),
-    (["scan"], "scan:\n  axis: cooling\n  values: [0.5]\n"
-               "  omega_c_khz: [20.0, -5.0]\n"),
+    (SCAN, "scan:\n  axis: g\n  values: [0.9, 0.5]\n"),
+    (SCAN, "scan:\n  axis: g\n  values: [0.0, 0.5]\n"),
+    (SCAN, "scan:\n  axis: R\n  values: [0.5, 25.0]\n  fixed_g: 1.0\n"),
+    (SCAN, "scan:\n  axis: cooling\n  values: [0.5]\n"
+           "  omega_c_khz: [20.0, -5.0]\n"),
+    # the probe falls back to each omega_c, and 0 is no probe frequency
+    (SCAN + ["--probe"], "scan:\n  axis: cooling\n  values: [0.5]\n"
+                         "  omega_c_khz: [20.0, 0.0]\n"),
+    (["scan", "--threads", "0"], G_SCAN),
+    (["scan", "--threads", "-3"], G_SCAN),
     (["run", "--seed", "-1"], "jitter_sigma_khz: 0.1\n"),
     (["run"], "jitter_sigma_khz: 0.1\nseed: -1\n"),
-    (["probe-demo", "--seed", "-1"], "probe:\n  shots: 100\n")],
+    (["probe-demo", "--seed", "-1"], "probe:\n  shots: 100\n"),
+    (["run"], "channel: hybrid\n"),
+    (["run"], "noise:\n  recoil: \"yes\"\n")],
     ids=["scan-decreasing", "scan-g-zero", "scan-R-below-one",
-         "scan-negative-omega-c", "seed-flag", "seed-file", "seed-probe-demo"])
-def test_bad_setting_rejected_before_any_cycle(tmp_path, monkeypatch, command,
-                                               setting):
+         "scan-negative-omega-c", "scan-cooling-probe-zero-omega-c",
+         "threads-zero", "threads-negative", "seed-flag", "seed-file",
+         "seed-probe-demo", "channel-unknown", "recoil-not-bool"])
+def test_bad_setting_rejected_before_any_cycle(tmp_path, monkeypatch, capsys,
+                                               command, setting):
     def no_cycles(config):
         raise AssertionError("a cycle ran")
 
     monkeypatch.setattr(cli, "run", no_cycles)
     monkeypatch.setattr(analysis, "run", no_cycles)
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(BASE_YAML.replace("seed: 0\n", "") + setting)
-    assert main(command + ["--config", str(cfg), "--threads", "1",
+    cfg.write_text(BASE_YAML.replace("seed: 0\n", "")
+                   .replace("channel: exact\n", "") + setting)
+    assert main(command + ["--config", str(cfg),
                            "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_scan_probe_on_cooling_axis(tmp_path):
+    cfg = tmp_path / "cool.yaml"
+    cfg.write_text(BASE_YAML.replace("max: 40", "max: 20")
+                   + "scan:\n  axis: cooling\n  values: [0.8, 1.2]\n"
+                   + "  omega_c_khz: [10.0, 20.0]\n")
+    out = tmp_path / "out"
+    assert main(SCAN + ["--probe", "--config", str(cfg),
+                        "--out-dir", str(out)]) == 0
+    for name in ("cool_scan0.csv", "cool_scan1.csv"):
+        sigma = [float(r[2]) for r in read_rows(out / name)[1:]]
+        assert len(sigma) == 2 and np.all(np.isfinite(sigma))
+
+
+@pytest.mark.parametrize("command,setting", [
+    (["run", "--seed", "5"], "jitter_sigma_khz: 0.5\n"),
+    (["scan", "--probe", "--seed", "3", "--threads", "1"],
+     G_SCAN + "probe:\n  shots: 1000\n"),
+    (["probe-demo"], "probe:\n  omega_probe_khz: 20.0\n")],
+    ids=["run", "scan-probe", "probe-demo"])
+def test_manifest_config_reproduces_outputs(tmp_path, command, setting):
+    # the config the manifest embeds, plus its readout, is the whole run
+    cfg = tmp_path / "a" / "exp.yaml"
+    cfg.parent.mkdir()
+    cfg.write_text(BASE_YAML.replace("max: 40", "max: 20") + setting)
+    assert main(command + ["--config", str(cfg),
+                           "--out-dir", str(tmp_path / "out_a")]) == 0
+    meta = json.loads((tmp_path / "out_a" / "exp_manifest.json").read_text())
+    assert ("--probe" in command) == (meta.get("readout") == "probe")
+
+    again = tmp_path / "b" / "exp.yaml"
+    again.parent.mkdir()
+    again.write_text(yaml.safe_dump(meta["config"]))
+    probe = ["--probe"] if meta.get("readout") == "probe" else []
+    assert main([command[0]] + probe + ["--config", str(again),
+                "--out-dir", str(tmp_path / "out_b")]) == 0
+    rerun = json.loads((tmp_path / "out_b" / "exp_manifest.json").read_text())
+    assert rerun["config"] == meta["config"]
+    assert rerun.keys() == meta.keys()
+    assert rerun["outputs"].keys() == meta["outputs"].keys()
+    for name, output in meta["outputs"].items():
+        assert (Path(output["path"]).read_bytes()
+                == Path(rerun["outputs"][name]["path"]).read_bytes())
 
 
 @pytest.mark.parametrize("setting", ["omega_probe_khz: 0.0",

@@ -108,31 +108,28 @@ def test_invalid_physics_reported_as_config_error():
             experiment_from_tree(minimal_tree(cutoff={key: value}))
     with pytest.raises(ConfigError, match="config: seed"):
         experiment_from_tree(minimal_tree(seed=-1))
-    with pytest.raises(ConfigError, match="config: seed"):
-        experiment_from_tree(minimal_tree(), seed=-1)
 
 
-def test_channel_and_noise_overrides():
+def test_channel_and_noise_from_file():
     tree = minimal_tree(noise={"heating_per_s": 50.0, "dephasing_per_s": 200.0,
                                "recoil": True})
     cfg = experiment_from_tree(tree)
     assert cfg.noise.heating_rate == pytest.approx(5e-5)
     assert cfg.noise.recoil_enabled
 
-    off = experiment_from_tree(tree, noise_mode="off")
+    off = experiment_from_tree(minimal_tree())
     assert not off.noise.any_decoherence and not off.noise.recoil_enabled
 
-    dec = experiment_from_tree(tree, noise_mode="decoherence")
+    tree["noise"]["recoil"] = False
+    dec = experiment_from_tree(tree)
     assert dec.noise.any_decoherence and not dec.noise.recoil_enabled
 
-    lb = experiment_from_tree(tree, channel="lindblad", seed=7)
+    lb = experiment_from_tree(minimal_tree(channel="lindblad", seed=7))
     assert lb.channel_mode == "lindblad"
     assert lb.seed == 7
 
-    with pytest.raises(ConfigError):
-        experiment_from_tree(tree, channel="hybrid")
-    with pytest.raises(ConfigError):
-        experiment_from_tree(tree, noise_mode="everything")
+    with pytest.raises(ConfigError, match="channel"):
+        experiment_from_tree(minimal_tree(channel="hybrid"))
     tree["noise"]["recoil"] = "yes"
     with pytest.raises(ConfigError, match="recoil"):
         experiment_from_tree(tree)
