@@ -21,7 +21,7 @@ from .channels import NoiseParams, CoolingChannel, lindblad_step, unitary_step
 from .protocol import (ExperimentConfig, InitialState, Convergence,
                        CutoffPolicy, Trajectory, run, run_cycles,
                        run_to_convergence, SimulationDiverged)
-from .probe import measure_nbar, simulate_probe, fit_populations
+from .probe import ProbeParams, measure_nbar, simulate_probe, fit_populations
 from .analysis import (g_scan, r_scan, cooling_scan, extrapolate_saturation,
                        fit_exponential_saturation, fit_critical_power_law,
                        fit_loglog_slope, crossover_midpoint)

@@ -1,6 +1,7 @@
 """Parameter sweeps and curve fits: g-scans, R-scans, cooling-rate scans,
 exponential saturation, saturation extrapolation, critical power law and
-log-log slopes."""
+log-log slopes.  A scan reads each point's nbar out directly, or through
+the probe emulation when given a probe.ProbeParams."""
 
 import hashlib
 import json
@@ -53,7 +54,7 @@ def config_hash(config):
 
 
 def _steady_point(args):
-    config, readout, probe_opts = args
+    config, probe = args
     try:
         traj = run(config)
     except SimulationDiverged:
@@ -61,41 +62,31 @@ def _steady_point(args):
                     n_max=config.cutoff.ceiling)
     nbar = traj.steady_nbar(config.convergence.window)
     sigma = np.nan
-    if readout == "probe":
+    if probe is not None:
         nbar, sigma, _, _ = measure_nbar(traj.final_state, seed=config.seed,
-                                         **probe_opts)
+                                         **asdict(probe))
     return dict(nbar=nbar, sigma=sigma, converged=traj.converged,
                 cycles=traj.cycles_run, n_max=int(traj.n_max_used[-1]))
 
 
-def _point_configs(make, values, axis=True):
-    """make(v) for every scan value, all built before any point runs.  A
-    value that fails a check, or an axis whose values do not strictly
-    increase, is reported as ConfigError."""
+def _point_configs(make, values, probe, axis=True):
+    """(make(v), probe resolved for it) for every scan value, all built
+    before any point runs; probe None reads nbar out directly.  A value or
+    probe frequency that fails a check, or an axis whose values do not
+    strictly increase, is reported as ConfigError."""
     from .config import ConfigError   # keeps yaml out of `import iondpt`
     try:
         if axis and np.any(np.diff(values) <= 0):
             raise ValueError("scan axis must be strictly increasing")
-        return [make(v) for v in values]
+        configs = [make(v) for v in values]
+        return [(c, None if probe is None else probe.resolved(c.cool))
+                for c in configs]
     except ValueError as exc:
         raise ConfigError(f"scan: {exc}") from exc
 
 
-def _resolve_probe(base_config, readout, probe_opts):
-    """probe_opts with the probe frequency a probe readout runs at, so a bad
-    one is reported as ConfigError before any point runs."""
-    if readout != "probe":
-        return probe_opts
-    from .config import probe_frequency
-    probe_opts = dict(probe_opts or {})
-    probe_opts["omega_probe"] = probe_frequency(probe_opts, base_config.cool)
-    return probe_opts
-
-
-def _dispatch(base_config, configs, readout, probe_opts, threads):
-    """Steady-state point per config."""
-    probe_opts = _resolve_probe(base_config, readout, probe_opts)
-    jobs = [(config, readout, probe_opts) for config in configs]
+def _dispatch(jobs, threads):
+    """Steady-state point per (config, probe) job."""
     if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_steady_point, jobs))
@@ -113,7 +104,7 @@ def _collect(axis, values, rows, base_config, label=""):
         config_hash=config_hash(base_config), label=label)
 
 
-def g_scan(base_config, g_values, readout="direct", probe_opts=None, threads=1):
+def g_scan(base_config, g_values, probe=None, threads=1):
     """Steady-state nbar versus dimensionless coupling g at fixed detunings."""
     g_values = np.asarray(g_values, dtype=float)
 
@@ -122,33 +113,29 @@ def g_scan(base_config, g_values, readout="direct", probe_opts=None, threads=1):
             raise ValueError("g values must be > 0")
         return config_with_coupling(base_config, g)
 
-    rows = _dispatch(base_config, _point_configs(make, g_values), readout,
-                     probe_opts, threads)
+    rows = _dispatch(_point_configs(make, g_values, probe), threads)
     return _collect("g", g_values, rows, base_config)
 
 
-def r_scan(base_config, r_values, fixed_g, readout="direct", probe_opts=None,
-           threads=1):
+def r_scan(base_config, r_values, fixed_g, probe=None, threads=1):
     """Steady-state nbar versus frequency ratio R at fixed g and fixed
     delta_b - delta_r."""
     r_values = np.asarray(r_values, dtype=float)
-    configs = _point_configs(
-        lambda r: config_with_ratio(base_config, r, g=fixed_g), r_values)
-    rows = _dispatch(base_config, configs, readout, probe_opts, threads)
+    jobs = _point_configs(
+        lambda r: config_with_ratio(base_config, r, g=fixed_g), r_values, probe)
+    rows = _dispatch(jobs, threads)
     return _collect("R", r_values, rows, base_config, label=f"g={fixed_g}")
 
 
-def cooling_scan(base_config, omega_c_values, g_values, readout="direct",
-                 probe_opts=None, threads=1):
+def cooling_scan(base_config, omega_c_values, g_values, probe=None, threads=1):
     """One g-scan per cooling Rabi frequency omega_c, every omega_c and its
     probe frequency checked before the first g-scan runs."""
     bases = _point_configs(lambda omega_c: replace(
         base_config, cool=replace(base_config.cool, omega_c=omega_c)),
-        omega_c_values, axis=False)
-    opts = [_resolve_probe(cfg, readout, probe_opts) for cfg in bases]
+        omega_c_values, probe, axis=False)
     results = []
-    for omega_c, cfg, popts in zip(omega_c_values, bases, opts):
-        scan = g_scan(cfg, g_values, readout, popts, threads)
+    for omega_c, (cfg, _) in zip(omega_c_values, bases):
+        scan = g_scan(cfg, g_values, probe, threads)
         scan.label = f"omega_c={omega_c:.6g}"
         results.append(scan)
     return results
@@ -183,6 +170,8 @@ def fit_exponential_saturation(trajectory_or_xy):
         x, y = (np.asarray(v, dtype=float) for v in trajectory_or_xy)
     if x.size < 10:
         raise FitError("need at least 10 cycles for a saturation fit")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise FitError("saturation fit needs finite data")
     b0 = float(np.mean(y[-max(3, x.size // 10):]))
     a0 = float(y[0] - b0)
     if abs(a0) < 1e-12:
@@ -284,8 +273,8 @@ def fit_critical_power_law(points, g_window=None):
     if pts.shape[0] < 5:
         raise FitError("need at least 5 points near the critical region")
     g, ns = pts[:, 0], pts[:, 1]
-    if np.any(ns <= 0):
-        raise FitError("N_s values must be positive")
+    if not (np.isfinite(pts).all() and np.all(ns > 0)):
+        raise FitError("N_s values must be positive and finite")
     gmax = float(g.max())
 
     def residuals(p):
@@ -339,8 +328,8 @@ def fit_loglog_slope(points):
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 3:
         raise FitError("need at least 3 points for a log-log slope")
-    if np.any(pts <= 0):
-        raise FitError("log-log slope requires positive data")
+    if not (np.isfinite(pts).all() and np.all(pts > 0)):
+        raise FitError("log-log slope requires positive finite data")
     lx, ly = np.log(pts[:, 0]), np.log(pts[:, 1])
     coeffs, cov = np.polyfit(lx, ly, 1, cov=True)
     return _fit_result("loglog_slope", ["slope", "intercept"], coeffs, cov,

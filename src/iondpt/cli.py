@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import __version__
 from . import analysis, probe
 from .config import (ConfigError, load_tree, experiment_from_tree, scan_spec,
-                     probe_spec, probe_frequency)
+                     probe_spec)
 from .model import khz
 from .protocol import SimulationDiverged, run
 
@@ -114,22 +115,19 @@ def cmd_scan(args):
         raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
     tree, config = _load_config(args)
     spec = scan_spec(tree)
-    popts = probe_spec(tree)
-    readout = "probe" if args.probe else "direct"
+    popts = probe_spec(tree)   # checked whether or not --probe reads it
+    popts, readout = (popts, "probe") if args.probe else (None, "direct")
     started = datetime.now(timezone.utc).isoformat()
     threads = args.threads or os.cpu_count() or 1
     if spec["axis"] == "g":
-        scans = [analysis.g_scan(config, spec["values"], readout=readout,
-                                 probe_opts=popts, threads=threads)]
+        scans = [analysis.g_scan(config, spec["values"], popts, threads=threads)]
     elif spec["axis"] == "R":
         scans = [analysis.r_scan(config, spec["values"], spec["fixed_g"],
-                                 readout=readout, probe_opts=popts,
-                                 threads=threads)]
+                                 popts, threads=threads)]
     else:
         omega_values = [khz(f) for f in spec["omega_c_khz"]]
         scans = analysis.cooling_scan(config, omega_values, spec["values"],
-                                      readout=readout, probe_opts=popts,
-                                      threads=threads)
+                                      popts, threads=threads)
 
     stem = _stem(args)
     outputs = {}
@@ -164,15 +162,15 @@ def cmd_fit(args):
             raise ConfigError("populations fit needs --config for the probe "
                               "Rabi frequency")
         popts = probe_spec(_read_tree(args.config))
-        if popts.get("omega_probe") is None:
+        if popts.omega_probe is None:
             raise ConfigError("config probe.omega_probe_khz is required for "
                               "the populations fit")
     try:
         if args.model == "populations":
-            scan = probe.scan_from_csv(args.data, popts["omega_probe"])
+            scan = probe.scan_from_csv(args.data, popts.omega_probe)
             fit = probe.fit_populations(
-                scan, popts.get("k_max", 8),
-                decay_model=popts.get("decay_model", "sqrt"))
+                scan, 8 if popts.k_max is None else popts.k_max,
+                decay_model=popts.decay_model)
             nbar, sigma = probe.nbar_from_fit(fit)
             report = {"model": "populations",
                       "params": {"nbar": nbar,
@@ -204,8 +202,7 @@ def cmd_fit(args):
 
 def cmd_probe_demo(args):
     tree, config = _load_config(args)
-    popts = probe_spec(tree)
-    popts["omega_probe"] = probe_frequency(popts, config.cool)
+    popts = probe_spec(tree, config.cool)
     started = datetime.now(timezone.utc).isoformat()
     traj = run(config)
 
@@ -213,7 +210,7 @@ def cmd_probe_demo(args):
     number = np.arange(rho_m.shape[0])
     nbar_direct = float(np.real(np.diag(rho_m)) @ number)
     nbar_fit, sigma, fit, scan = probe.measure_nbar(rho_m, seed=config.seed,
-                                                    **popts)
+                                                    **asdict(popts))
 
     stem = _stem(args)
     scan_path = os.path.join(args.out_dir, f"{stem}_probe.csv")

@@ -13,7 +13,7 @@ import yaml
 
 from .channels import NoiseParams
 from .model import DriveParams, CoolParams, khz
-from .probe import DECAY_MODELS
+from .probe import ProbeParams
 from .protocol import (ExperimentConfig, InitialState, Convergence,
                        CutoffPolicy)
 
@@ -167,39 +167,9 @@ def scan_spec(tree):
     return out
 
 
-def probe_spec(tree):
-    """Optional probe section: shots, probe Rabi frequency, fit options."""
-    sec = _mapping(tree, "probe", "config", required=False)
-    shots = None
-    if sec.get("shots") is not None:
-        shots = _integer(sec, "shots", "probe")
-        if shots < 1:
-            raise ConfigError(f"probe.shots: must be >= 1, got {shots}")
-    out = {"shots": shots}
-    if "omega_probe_khz" in sec:
-        omega = _number(sec, "omega_probe_khz", "probe")
-        if not omega > 0:
-            raise ConfigError(f"probe.omega_probe_khz: must be > 0, got {omega}")
-        out["omega_probe"] = khz(omega)
-    if "k_max" in sec:
-        k_max = _integer(sec, "k_max", "probe")
-        if k_max < 0:
-            raise ConfigError(f"probe.k_max: must be >= 0, got {k_max}")
-        out["k_max"] = k_max
-    if "decay_model" in sec:
-        decay = str(sec["decay_model"])
-        if decay not in DECAY_MODELS:
-            raise ConfigError(f"probe.decay_model: expected one of "
-                              f"{', '.join(DECAY_MODELS)}, got {decay!r}")
-        out["decay_model"] = decay
-    return out
-
-
-def probe_frequency(popts, cool):
-    """Probe Rabi frequency (rad/us) for a probe_spec: probe.omega_probe_khz,
-    else the cooling Rabi frequency; rejects a value that is not > 0."""
-    omega = popts.get("omega_probe", cool.omega_c)
-    if not omega > 0:
-        raise ConfigError(f"probe Rabi frequency must be > 0, got {omega}: "
-                          f"set probe.omega_probe_khz")
-    return omega
+def probe_spec(tree, cool=None):
+    """The optional probe section as ProbeParams; given the cooling stage
+    cool, with the probe frequency filled in (ProbeParams.resolved)."""
+    probe = _section(tree, "probe", ProbeParams.from_khz, ("omega_probe_khz",),
+                     ("shots", "k_max"), as_is=("decay_model",))
+    return probe if cool is None else _build("probe", probe.resolved, cool=cool)

@@ -3,17 +3,19 @@
 The probe drives the blue sideband for a range of durations, records the
 spin-up probability, and a damped multi-component Rabi fit recovers the
 Fock populations p_k, from which nbar = N.p and sigma = sqrt(N Sigma N^T).
+ProbeParams holds the readout settings, their defaults and their checks.
 """
 
 import csv as _csv
 import warnings
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from scipy.optimize import least_squares
 
-# not called here: the benchmark tracer (perfbench/spans.py) wraps this name
-from .model import h_blue_sideband
+# h_blue_sideband is not called here: the benchmark tracer
+# (perfbench/spans.py) wraps this name
+from .model import h_blue_sideband, khz
 
 DECAY_MODELS = {
     "sqrt": lambda k: np.sqrt(k + 1.0),
@@ -24,6 +26,40 @@ DECAY_MODELS = {
 
 class FitError(RuntimeError):
     """A population, scan or trajectory fit failed or was ill-posed."""
+
+
+@dataclass(frozen=True)
+class ProbeParams:
+    """Probe readout settings, named as measure_nbar's keywords."""
+
+    omega_probe: float | None = None  # rad/us; None = cooling Rabi frequency
+    shots: int | None = None          # None = exact expectation values
+    k_max: int | None = None          # fit cutoff; None = default_k_max
+    decay_model: str = "sqrt"
+
+    def __post_init__(self):
+        if self.omega_probe is not None and not self.omega_probe > 0:
+            raise ValueError(f"probe Rabi frequency must be > 0 rad/us, got "
+                             f"{self.omega_probe}: set probe.omega_probe_khz")
+        if self.shots is not None and self.shots < 1:
+            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if self.k_max is not None and self.k_max < 0:
+            raise ValueError(f"k_max must be >= 0, got {self.k_max}")
+        if self.decay_model not in tuple(DECAY_MODELS):  # also unhashables
+            raise ValueError(f"decay_model must be one of {list(DECAY_MODELS)},"
+                             f" got {self.decay_model!r}")
+
+    @classmethod
+    def from_khz(cls, omega_probe_khz=None, **settings):
+        return cls(None if omega_probe_khz is None else khz(omega_probe_khz),
+                   **settings)
+
+    def resolved(self, cool):
+        """These settings with omega_probe filled in: the cooling Rabi
+        frequency of cool when unset.  One not > 0 raises ValueError."""
+        if self.omega_probe is not None:
+            return self
+        return replace(self, omega_probe=cool.omega_c)
 
 
 @dataclass

@@ -77,6 +77,9 @@ class CutoffPolicy:
             raise ValueError("eps must be > 0")
         if not self.growth > 1:
             raise ValueError("growth must be > 1")
+        if self.ceiling < self.n_max:
+            raise ValueError(f"ceiling must be >= n_max, got {self.ceiling} "
+                             f"< {self.n_max}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from iondpt.model import DriveParams, CoolParams
+from iondpt.probe import ProbeParams
 from iondpt.protocol import ExperimentConfig, InitialState
 from iondpt import analysis as an
 from iondpt.analysis import (ScanResult, FitError, g_scan, r_scan,
@@ -77,7 +78,7 @@ def test_probe_scan_rejects_zero_frequency_before_any_point(monkeypatch, scan):
     monkeypatch.setattr(an, "run", no_cycles)
     cfg = small_config(cool=CoolParams.from_khz(0.0, 5.0, 13.0))
     with pytest.raises(ValueError, match="probe Rabi frequency"):
-        scan(cfg, dict(readout="probe", probe_opts={"shots": None}))
+        scan(cfg, dict(probe=ProbeParams()))
 
 
 def test_fit_exponential_saturation_round_trip():

@@ -147,6 +147,15 @@ def test_fit_loglog_and_errors(tmp_path):
     assert main(["fit", str(neg), "--model", "loglog",
                  "--out-dir", str(out)]) == 4
 
+    # scan writes nbar nan for a diverged point; no fit may read it
+    diverged = tmp_path / "diverged.csv"
+    diverged.write_text("g,nbar\n" + "".join(f"{x},{x}\n" for x in range(1, 12))
+                        + "12,nan\n")
+    for model in ("loglog", "power_law_critical", "saturation"):
+        assert main(["fit", str(diverged), "--model", model,
+                     "--out-dir", str(out)]) == 4
+        assert not (out / f"diverged_{model}_fit.json").exists()
+
 
 def test_fit_saturation_round_trip(tmp_path):
     data = tmp_path / "relax.csv"
@@ -258,11 +267,15 @@ G_SCAN = "scan:\n  axis: g\n  values: [0.8, 1.2]\n"
     (["run"], "jitter_sigma_khz: 0.1\nseed: -1\n"),
     (["probe-demo", "--seed", "-1"], "probe:\n  shots: 100\n"),
     (["run"], "channel: hybrid\n"),
-    (["run"], "noise:\n  recoil: \"yes\"\n")],
+    (["run"], "noise:\n  recoil: \"yes\"\n"),
+    (["run"], "cutoff:\n  ceiling: 10\n"),
+    # the probe section is checked even when --probe does not read it
+    (SCAN, G_SCAN + "probe:\n  k_max: -3\n")],
     ids=["scan-decreasing", "scan-g-zero", "scan-R-below-one",
          "scan-negative-omega-c", "scan-cooling-probe-zero-omega-c",
          "threads-zero", "threads-negative", "seed-flag", "seed-file",
-         "seed-probe-demo", "channel-unknown", "recoil-not-bool"])
+         "seed-probe-demo", "channel-unknown", "recoil-not-bool",
+         "ceiling-below-n-max", "scan-direct-bad-probe"])
 def test_bad_setting_rejected_before_any_cycle(tmp_path, monkeypatch, capsys,
                                                command, setting):
     def no_cycles(config):

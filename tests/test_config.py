@@ -5,6 +5,7 @@ from iondpt.analysis import config_hash
 from iondpt.config import (ConfigError, load_tree, load_experiment,
                            experiment_from_tree, scan_spec, probe_spec)
 from iondpt.model import CoolParams, DriveParams, khz
+from iondpt.probe import ProbeParams
 from iondpt.protocol import ExperimentConfig
 
 import pathlib
@@ -74,7 +75,7 @@ def test_integer_keys(path):
     cfg, spec, popts = read_all(tree_with(path, 40.0))
     read = {"seed": cfg.seed, "window": cfg.convergence.window,
             "max": cfg.max_cycles, "n_max": cfg.cutoff.n_max,
-            "ceiling": cfg.cutoff.ceiling, "k_max": popts.get("k_max"),
+            "ceiling": cfg.cutoff.ceiling, "k_max": popts.k_max,
             "count": len(spec["values"])}[path[-1]]
     assert read == 40 and type(read) is int
     for bad in (40.5, "abc", True):
@@ -103,7 +104,8 @@ def test_invalid_physics_reported_as_config_error():
     tree["drive"]["delta_b_khz"] = 20.0  # delta_b <= delta_r
     with pytest.raises(ConfigError, match="drive"):
         experiment_from_tree(tree)
-    for key, value in (("growth", 1.0), ("eps", 0.0), ("n_max", 0)):
+    for key, value in (("growth", 1.0), ("eps", 0.0), ("n_max", 0),
+                       ("ceiling", 10)):
         with pytest.raises(ConfigError, match=f"cutoff: {key}"):
             experiment_from_tree(minimal_tree(cutoff={key: value}))
     with pytest.raises(ConfigError, match="config: seed"):
@@ -169,19 +171,22 @@ def test_probe_spec():
     tree = minimal_tree(probe={"shots": 1000, "omega_probe_khz": 20.0,
                                "k_max": 8, "decay_model": "sqrt"})
     spec = probe_spec(tree)
-    assert spec["shots"] == 1000
-    assert spec["omega_probe"] == pytest.approx(khz(20.0))
-    assert spec["k_max"] == 8
-    assert probe_spec(minimal_tree()) == {"shots": None}
+    assert spec.shots == 1000
+    assert spec.omega_probe == pytest.approx(khz(20.0))
+    assert spec.k_max == 8
+    assert probe_spec(minimal_tree()) == ProbeParams()
     with pytest.raises(ConfigError, match="shots"):
         probe_spec(minimal_tree(probe={"shots": -5}))
 
 
 def test_probe_shots_read_as_integer():
     # probe.shots goes through the integer reader of every other count
-    shots = probe_spec(minimal_tree(probe={"shots": 1000.0}))["shots"]
+    shots = probe_spec(minimal_tree(probe={"shots": 1000.0})).shots
     assert shots == 1000 and isinstance(shots, int)
-    for shots in (0, -1, True, 1.5):
+    for shots in (0, -1):
+        with pytest.raises(ConfigError, match="probe: shots must be >= 1"):
+            probe_spec(minimal_tree(probe={"shots": shots}))
+    for shots in (True, 1.5, None):
         with pytest.raises(ConfigError, match="probe.shots"):
             probe_spec(minimal_tree(probe={"shots": shots}))
 
@@ -191,7 +196,7 @@ def test_probe_spec_rejects_bad_settings():
                   {"k_max": -3}, {"decay_model": "foo"}):
         with pytest.raises(ConfigError, match=next(iter(probe))):
             probe_spec(minimal_tree(probe=probe))
-    assert probe_spec(minimal_tree(probe={"k_max": 0}))["k_max"] == 0
+    assert probe_spec(minimal_tree(probe={"k_max": 0})).k_max == 0
 
 
 def test_load_tree_errors(tmp_path):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from iondpt.fockspace import FockCutoff, thermal_state
-from iondpt.model import khz
+from iondpt.model import CoolParams, khz
 from iondpt import probe as pr
 from iondpt.probe import (ProbeScan, simulate_probe, fit_populations,
                           nbar_from_fit, measure_nbar, default_probe_times,
-                          scan_to_csv, scan_from_csv, FitError, PopulationFit)
+                          scan_to_csv, scan_from_csv, FitError, PopulationFit,
+                          ProbeParams)
 
 from helpers import embed_down, h_blue_sideband
 
@@ -27,6 +28,28 @@ def test_probe_scan_validation():
         ProbeScan(times=[2.0, 1.0], p_up=[0.5, 0.5], omega_probe=OMEGA)
     with pytest.raises(ValueError):
         simulate_probe(np.ones((1, 1)), OMEGA, default_probe_times(OMEGA))
+
+
+@pytest.mark.parametrize("setting,match", [
+    ({"omega_probe": 0.0}, "probe Rabi frequency"),
+    ({"omega_probe": -1.0}, "probe Rabi frequency"),
+    ({"shots": 0}, "shots"), ({"k_max": -1}, "k_max"),
+    ({"decay_model": "foo"}, "decay_model"),
+    ({"decay_model": ["sqrt"]}, "decay_model")])
+def test_probe_params_rejects_bad_settings(setting, match):
+    with pytest.raises(ValueError, match=match):
+        ProbeParams(**setting)
+
+
+def test_probe_params_frequency_falls_back_to_cooling_rabi():
+    cool = CoolParams.from_khz(20.0, 5.0, 13.0)
+    explicit = ProbeParams.from_khz(10.0, k_max=0)
+    assert explicit.resolved(cool) == explicit
+    assert explicit.omega_probe == pytest.approx(khz(10.0))
+    assert (ProbeParams(shots=10).resolved(cool)
+            == ProbeParams(omega_probe=cool.omega_c, shots=10))
+    with pytest.raises(ValueError, match="probe Rabi frequency"):
+        ProbeParams().resolved(CoolParams.from_khz(0.0, 5.0, 13.0))
 
 
 def test_vacuum_flop():
