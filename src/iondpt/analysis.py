@@ -3,8 +3,6 @@ exponential saturation, saturation extrapolation, critical power law and
 log-log slopes.  A scan reads each point's nbar out directly, or through
 the probe emulation when given a probe.ProbeParams."""
 
-import hashlib
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 
@@ -28,7 +26,6 @@ class ScanResult:
     converged: np.ndarray      # bool per point
     cycles: np.ndarray
     n_max: np.ndarray
-    config_hash: str = ""
     label: str = ""
 
     def __post_init__(self):
@@ -45,12 +42,6 @@ class FitResult:
     cov: np.ndarray
     residual_rms: float
     window: tuple = ()
-
-
-def config_hash(config):
-    """Stable hash of the full configuration for provenance."""
-    blob = json.dumps(asdict(config), sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _steady_point(args):
@@ -93,15 +84,14 @@ def _dispatch(jobs, threads):
     return [_steady_point(j) for j in jobs]
 
 
-def _collect(axis, values, rows, base_config, label=""):
+def _collect(axis, values, rows, label=""):
     return ScanResult(
         axis=axis, values=np.asarray(values, dtype=float),
         nbar=np.array([r["nbar"] for r in rows]),
         sigma=np.array([r["sigma"] for r in rows]),
         converged=np.array([r["converged"] for r in rows]),
         cycles=np.array([r["cycles"] for r in rows]),
-        n_max=np.array([r["n_max"] for r in rows]),
-        config_hash=config_hash(base_config), label=label)
+        n_max=np.array([r["n_max"] for r in rows]), label=label)
 
 
 def g_scan(base_config, g_values, probe=None, threads=1):
@@ -114,7 +104,7 @@ def g_scan(base_config, g_values, probe=None, threads=1):
         return config_with_coupling(base_config, g)
 
     rows = _dispatch(_point_configs(make, g_values, probe), threads)
-    return _collect("g", g_values, rows, base_config)
+    return _collect("g", g_values, rows)
 
 
 def r_scan(base_config, r_values, fixed_g, probe=None, threads=1):
@@ -124,7 +114,7 @@ def r_scan(base_config, r_values, fixed_g, probe=None, threads=1):
     jobs = _point_configs(
         lambda r: config_with_ratio(base_config, r, g=fixed_g), r_values, probe)
     rows = _dispatch(jobs, threads)
-    return _collect("R", r_values, rows, base_config, label=f"g={fixed_g}")
+    return _collect("R", r_values, rows, label=f"g={fixed_g}")
 
 
 def cooling_scan(base_config, omega_c_values, g_values, probe=None, threads=1):

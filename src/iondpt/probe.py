@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 from dataclasses import dataclass, replace
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, lsq_linear
 
 # h_blue_sideband is not called here: the benchmark tracer
 # (perfbench/spans.py) wraps this name
@@ -22,6 +22,7 @@ DECAY_MODELS = {
     "pow07": lambda k: (k + 1.0) ** 0.7,
     "const": lambda k: np.ones_like(k, dtype=float),
 }
+MAX_TAIL_NBAR = 0.02   # phonons a fit cutoff may drop from the Fock tail
 
 
 class FitError(RuntimeError):
@@ -84,7 +85,6 @@ class PopulationFit:
     cov: np.ndarray            # covariance of p
     gamma0: float              # fitted decay scale, 1/us
     residual_rms: float
-    decay_model: str = "sqrt"
 
 
 def default_probe_times(omega_probe, n_points=60, n_periods=6):
@@ -119,30 +119,6 @@ def simulate_probe(rho_m, omega_probe, times, shots=None, seed=0):
     return ProbeScan(times=times, p_up=p, omega_probe=omega_probe, shots=shots)
 
 
-def _forward_p_up(times, p, gamma0, omega, decay):
-    k = np.arange(p.size, dtype=float)
-    rabi = omega * np.sqrt(k + 1.0)
-    gam = gamma0 * decay(k)
-    osc = np.exp(-gam[None, :] * times[:, None]) * np.cos(rabi[None, :] * times[:, None])
-    return 0.5 * (1.0 - osc @ p)
-
-
-def _cosine_projection_init(scan, k_max):
-    """Initial populations from projecting 1-2*P_up onto the Rabi cosines."""
-    s = 1.0 - 2.0 * scan.p_up
-    k = np.arange(k_max + 1, dtype=float)
-    rabi = scan.omega_probe * np.sqrt(k + 1.0)
-    p0 = np.empty(k_max + 1)
-    T = scan.times[-1] - scan.times[0]
-    for j in range(k_max + 1):
-        p0[j] = 2.0 / T * np.trapezoid(s * np.cos(rabi[j] * scan.times), scan.times)
-    p0 = np.clip(p0, 0.0, 1.0)
-    total = p0.sum()
-    if total > 1.0:
-        p0 /= total
-    return p0
-
-
 def fit_covariance(residuals, jac):
     """Parameter covariance sigma^2 (J^T J)^+ of a least-squares solution,
     with sigma^2 = |r|^2 / max(N - P, 1) for N residuals and P parameters."""
@@ -169,35 +145,44 @@ def read_csv(path):
     return rows
 
 
-def fit_populations(scan, k_max, decay_model="sqrt", max_nfev=2000):
+def fit_populations(scan, k_max, decay_model="sqrt"):
     """Constrained least-squares fit of Fock populations and a decay scale.
 
     Model: P_up(t) = (1 - sum_k p_k e^{-gamma_k t} cos(Omega sqrt(k+1) t))/2
     with gamma_k = gamma0 * f(k) per decay_model.  p_k are box-bounded to
     [0, 1] and the simplex constraint sum p_k <= 1 enters as a penalty.
+    P_up is linear in p through the basis e^{-gamma_k t} cos(...), which
+    gives a closed-form Jacobian and a bounded linear start at gamma0 = 0.
     """
     if decay_model not in DECAY_MODELS:
         raise ValueError(f"unknown decay model {decay_model!r}")
-    decay = DECAY_MODELS[decay_model]
     n_params = k_max + 2
     if scan.times.size < 3 * n_params:
         raise FitError(
             f"need at least {3 * n_params} samples for k_max={k_max}, "
             f"got {scan.times.size}")
 
-    p0 = _cosine_projection_init(scan, k_max)
-    x0 = np.append(p0, 1e-3)
+    k = np.arange(k_max + 1, dtype=float)
+    cos = np.cos(scan.omega_probe * np.sqrt(k + 1.0) * scan.times[:, None])
+    ft = DECAY_MODELS[decay_model](k) * scan.times[:, None]
     penalty_weight = 10.0
 
     def residuals(x):
-        p, gamma0 = x[:-1], x[-1]
-        r = _forward_p_up(scan.times, p, gamma0, scan.omega_probe, decay) - scan.p_up
-        excess = max(p.sum() - 1.0, 0.0)
-        return np.append(r, penalty_weight * excess)
+        p = x[:-1]
+        r = 0.5 * (1.0 - np.exp(-x[-1] * ft) * cos @ p) - scan.p_up
+        return np.append(r, penalty_weight * max(p.sum() - 1.0, 0.0))
 
-    lo = np.append(np.zeros(k_max + 1), 0.0)
-    hi = np.append(np.ones(k_max + 1), np.inf)
-    sol = least_squares(residuals, x0, bounds=(lo, hi), max_nfev=max_nfev)
+    def jacobian(x):
+        p = x[:-1]
+        basis = np.exp(-x[-1] * ft) * cos
+        penalty = penalty_weight if p.sum() > 1.0 else 0.0
+        return np.block([[-0.5 * basis, 0.5 * (ft * basis) @ p[:, None]],
+                         [np.full(k_max + 1, penalty), 0.0]])
+
+    p0 = lsq_linear(cos, 1.0 - 2.0 * scan.p_up, bounds=(0.0, 1.0)).x
+    sol = least_squares(residuals, np.append(p0, 1e-3), jac=jacobian,
+                        bounds=(0.0, np.append(np.ones(k_max + 1), np.inf)),
+                        max_nfev=2000)
     if not sol.success:
         raise FitError(f"population fit did not converge: {sol.message}")
 
@@ -208,8 +193,7 @@ def fit_populations(scan, k_max, decay_model="sqrt", max_nfev=2000):
                       RuntimeWarning)
     cov_full = fit_covariance(r_data, J)
     return PopulationFit(p=sol.x[:-1], cov=cov_full[:-1, :-1], gamma0=float(sol.x[-1]),
-                         residual_rms=float(np.sqrt(np.mean(r_data**2))),
-                         decay_model=decay_model)
+                         residual_rms=float(np.sqrt(np.mean(r_data**2))))
 
 
 def nbar_from_fit(fit):
@@ -224,28 +208,34 @@ def nbar_from_fit(fit):
     return nbar, float(np.sqrt(var))
 
 
-def default_k_max(rho_m, max_tail_nbar=0.02, cap=40):
+def _tail_nbar(rho_m):
+    """sum_{n >= k} n rho_nn, for k = 0 .. n_max + 1."""
+    pops = np.clip(np.real(np.diag(rho_m)), 0.0, None)
+    weighted = np.arange(pops.size) * pops
+    return np.append(weighted[::-1].cumsum()[::-1], 0.0)
+
+
+def default_k_max(rho_m, cap=40):
     """Fit cutoff for emulated measurements with a known state.
 
-    Smallest k_max whose discarded tail contributes less than max_tail_nbar
+    Smallest k_max whose discarded tail contributes less than MAX_TAIL_NBAR
     to the mean phonon number; a naive multiple of nbar underestimates the
     cutoff badly for geometric-like tails.
     """
-    pops = np.clip(np.real(np.diag(rho_m)), 0.0, None)
-    n = np.arange(pops.size, dtype=float)
-    weighted = n * pops
-    loss = weighted[::-1].cumsum()[::-1]
-    ok = np.nonzero(loss <= max_tail_nbar)[0]
-    k_max = int(ok[0]) if ok.size else pops.size - 1
-    return int(min(max(k_max, 2), cap, pops.size - 1))
+    ok = np.nonzero(_tail_nbar(rho_m) <= MAX_TAIL_NBAR)[0]
+    return int(min(max(ok[0], 2), cap, rho_m.shape[0] - 1))
 
 
 def measure_nbar(rho_m, omega_probe, shots=None, seed=0, k_max=None,
                  times=None, decay_model="sqrt"):
-    """End-to-end emulated measurement: scan, fit, propagate errors."""
+    """End-to-end emulated measurement: scan, fit, propagate errors.  Warns
+    when the fit cutoff drops more than MAX_TAIL_NBAR phonons of the tail."""
     if k_max is None:
         k_max = default_k_max(rho_m)
     k_max = min(k_max, rho_m.shape[0] - 1)
+    lost = _tail_nbar(rho_m)[k_max + 1]
+    if lost > MAX_TAIL_NBAR:
+        warnings.warn(f"k_max={k_max} drops {lost:.3g} tail phonons", RuntimeWarning)
     if times is None:
         n_points = max(60, 3 * (k_max + 2) + 12)
         times = default_probe_times(omega_probe, n_points=n_points)

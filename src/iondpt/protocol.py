@@ -57,12 +57,12 @@ class Convergence:
 class CutoffPolicy:
     """Adaptive Fock-cutoff policy.
 
-    eps bounds the accepted population in the top two boson levels.  The
-    exact cooling channel has a vanishing cooling rate near n ~ (2pi/
-    (Omega_c tau_c))^2, which parks a fat but dynamically irrelevant tail at
-    high n; the default threshold keeps the induced bias in <a^dag a> below
-    ~0.05 phonons without forcing cutoffs past the runtime budget.  Tighten
-    for high-precision studies.
+    eps bounds the accepted population in the top two boson levels; it does
+    not bound the bias in <a^dag a>.  The exact cooling channel has a
+    vanishing cooling rate near n ~ (2pi/(Omega_c tau_c))^2, which parks a
+    fat tail at high n: at R = 25, g = 2.2 the default accepts n_max 68,
+    and the next cutoff moves nbar by 0.475 phonons.  Tighten for
+    high-precision studies.
     """
 
     n_max: int = 30         # initial cutoff
@@ -146,8 +146,6 @@ class _CyclePlan:
 
     def __init__(self, config, drive, cutoff):
         derived = derive(drive)
-        b = cutoff.bdim
-        self.number = np.diag(np.arange(b)).astype(complex)
         H = h_qrm(derived, cutoff)
         noise_jumps = make_noise_jumps(config.noise, cutoff)
         if noise_jumps:
@@ -184,6 +182,7 @@ def _run_at_cutoff(config, drive, cutoff, n_cycles, stop_on_tolerance):
     if fs.tail_mass(rho, k_check) > config.cutoff.eps:
         raise _CutoffOverflow
     plan = _CyclePlan(config, drive, cutoff)
+    levels = np.arange(cutoff.bdim)
 
     nbar = np.empty(n_cycles)
     pups = np.empty(n_cycles)
@@ -196,7 +195,7 @@ def _run_at_cutoff(config, drive, cutoff, n_cycles, stop_on_tolerance):
             raise _CutoffOverflow
         if config.debug_validate:
             fs.check_density_matrix(rho)
-        nbar[i] = fs.expectation(rho, plan.number)
+        nbar[i] = fs.expectation(rho.diagonal(), levels)
         if stop_on_tolerance and i + 1 >= conv.window:
             tail = nbar[i + 1 - conv.window:i + 1]
             if tail.max() - tail.min() < conv.tol:

@@ -8,8 +8,7 @@ from iondpt import analysis as an
 from iondpt.analysis import (ScanResult, FitError, g_scan, r_scan,
                              extrapolate_saturation, fit_exponential_saturation,
                              fit_critical_power_law, fit_loglog_slope,
-                             crossover_midpoint, scan_to_csv, scan_from_csv,
-                             config_hash)
+                             crossover_midpoint, scan_to_csv, scan_from_csv)
 
 
 def make_scan(values, nbar, axis="R"):
@@ -33,12 +32,6 @@ def small_config(**kw):
 def test_scan_result_validation():
     with pytest.raises(ValueError):
         make_scan([1.0, 1.0, 2.0], [0, 0, 0])
-
-
-def test_config_hash_stable_and_sensitive():
-    cfg = small_config()
-    assert config_hash(cfg) == config_hash(small_config())
-    assert config_hash(cfg) != config_hash(small_config(max_cycles=41))
 
 
 def test_g_scan_small_monotone():

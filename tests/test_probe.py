@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from iondpt.probe import (ProbeScan, simulate_probe, fit_populations,
                           nbar_from_fit, measure_nbar, default_probe_times,
                           scan_to_csv, scan_from_csv, FitError, PopulationFit,
                           ProbeParams)
+from iondpt.config import load_tree, experiment_from_tree
+from iondpt.protocol import run
 
 from helpers import embed_down, h_blue_sideband
 
 OMEGA = khz(20.0)
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def fock_diag(pops, n_max=None):
@@ -128,10 +133,78 @@ def test_fit_vacuum():
     assert fit.residual_rms < 1e-4
 
 
+@pytest.mark.filterwarnings("error")   # the cutoff drops < 0.02 phonons
 def test_fit_thermal_nbar_within_5_percent():
     rho = thermal_state(1.0, FockCutoff(30))
     nbar, sigma, fit, scan = measure_nbar(rho, OMEGA, k_max=8)
     assert abs(nbar - 1.0) / 1.0 < 0.05
+
+
+def decaying_scan(p, gamma0, decay_model, n_points=80):
+    """P_up of the fit's own model with decay rates gamma0 f(k)."""
+    times = default_probe_times(OMEGA, n_points=n_points)
+    k = np.arange(len(p), dtype=float)
+    rate = gamma0 * pr.DECAY_MODELS[decay_model](k)
+    osc = np.exp(-rate * times[:, None]) * np.cos(OMEGA * np.sqrt(k + 1) * times[:, None])
+    return ProbeScan(times=times, p_up=0.5 * (1.0 - osc @ p), omega_probe=OMEGA)
+
+
+@pytest.mark.parametrize("decay_model", list(pr.DECAY_MODELS))
+def test_fit_recovers_decay_scale(decay_model):
+    p = np.array([0.5, 0.25, 0.15, 0.1])
+    fit = fit_populations(decaying_scan(p, 0.02, decay_model), k_max=4,
+                          decay_model=decay_model)
+    assert fit.gamma0 == pytest.approx(0.02, rel=0.01)
+    assert nbar_from_fit(fit)[0] == pytest.approx(np.arange(4) @ p, abs=0.01)
+
+
+def finite_difference(fun, x, h=1e-7):
+    cols = []
+    for j in range(x.size):
+        step = np.zeros_like(x)
+        step[j] = h
+        cols.append((fun(x + step) - fun(x - step)) / (2 * h))
+    return np.column_stack(cols)
+
+
+def test_fit_jacobian_matches_finite_difference(monkeypatch):
+    seen, least_squares = {}, pr.least_squares
+
+    def spy(fun, x0, jac, **kwargs):
+        sol = least_squares(fun, x0, jac=jac, **kwargs)
+        seen.update(fun=fun, jac=jac, x=sol.x)
+        return sol
+
+    monkeypatch.setattr(pr, "least_squares", spy)
+    # sum p = 0.9 keeps the solution off the penalty's kink at sum p = 1
+    fit_populations(decaying_scan(np.array([0.5, 0.3, 0.1]), 0.02, "sqrt"),
+                    k_max=3)
+    x = seen["x"]
+    over = np.append(1.3 * x[:-1] / x[:-1].sum(), x[-1])   # sum p = 1.3
+    for point in (x, over):
+        expected = finite_difference(seen["fun"], point)
+        assert np.abs(seen["jac"](point) - expected).max() < 1e-6
+    assert seen["jac"](over)[-1, :-1] == pytest.approx(10.0)
+
+
+@pytest.mark.filterwarnings("ignore:k_max=40 drops")   # the capped tail
+def test_fit_insensitive_to_rounding_noise():
+    """A capped fit of a fat tail moves nbar by far less than the 1e-9 an
+    equal-results check allows when rho changes in the 14th digit."""
+    rho = thermal_state(6.0, FockCutoff(60), eps=1e-3)
+    x = np.random.default_rng(0).normal(size=rho.shape)
+    clean = measure_nbar(rho, OMEGA)[0]
+    noisy = measure_nbar(rho + 1e-14 * (x + x.T) / 2, OMEGA)[0]
+    assert abs(noisy - clean) <= 1e-10
+
+
+def test_measure_nbar_warns_when_cutoff_drops_the_tail():
+    tree = load_tree(CONFIGS / "fig2a.yaml")
+    tree["cycles"] = {"mode": "fixed", "max": 30}
+    rho = run(experiment_from_tree(tree)).final_state
+    with pytest.warns(RuntimeWarning, match=r"k_max=10 drops 0\.789 tail"):
+        nbar = measure_nbar(rho, khz(18.0), shots=800, seed=0, k_max=10)[0]
+    assert nbar < np.arange(rho.shape[0]) @ np.real(np.diag(rho)) - 0.5
 
 
 def test_fit_requires_enough_samples():
