@@ -14,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 from dataclasses import dataclass
 
-from .fockspace import build_boson_ops
+from .fockspace import (blocks, build_boson_ops, from_blocks, populations,
+                        to_blocks)
 # not called here: the benchmark tracer (perfbench/spans.py) wraps this name
 from .fockspace import trace_out_spin
 from .model import h_red_sideband, check_hermitian, per_second
@@ -70,6 +71,8 @@ class NoiseParams:
 
 def make_noise_jumps(noise, cutoff):
     """Heating, cooling-counterpart and dephasing jump operators (boson space)."""
+    if not noise.any_decoherence:
+        return []
     a, adag, num = build_boson_ops(cutoff)
     jumps = []
     if noise.heating_rate > 0:
@@ -166,43 +169,55 @@ def sector_propagators(H, t):
 @functools.lru_cache(maxsize=8)
 def _offset_layout(shape, b):
     """Flat indices into the float view of a state of this shape, plus a
-    trailing zero, that gather its offset diagonals into the real (k, m, c)
-    layout of _offset_generators (m >= b - k reads the zero), and back.
+    trailing zero, that gather its offset diagonals k = ks into the real
+    (k, m, c) layout of _offset_generators (m >= b - k reads the zero), and
+    back; and the slice ks.
 
-    The state is a stack of b x b blocks whose block index advances with
-    the position m: rho_m is one block, and the (2, b, b) parity sectors of
-    SplitStepPropagator are two, where spin s at boson m sits in sector
-    (s + m) % 2.  c runs over blocks, sides and real and imaginary parts.
+    The state is the parity blocks of rho_m (fockspace.to_blocks), whose
+    offsets are the even ones, or a stack of b x b blocks whose block index
+    advances with the position m: rho_m is one block, and the (2, b, b)
+    parity sectors of SplitStepPropagator are two, where spin s at boson m
+    sits in sector (s + m) % 2.  c runs over sides, blocks and real and
+    imaginary parts.
     """
-    if shape[-2:] != (b, b):
-        raise ValueError(f"expected a stack of {b} x {b} blocks, got {shape}")
-    k, m = np.indices((b, b))
+    size = int(np.prod(shape))
+    if shape == (b, (b + 1) // 2):
+        # pos[0, i, j] indexes rho_m[i, j] in the blocks, for even i - j
+        ks = slice(None, None, 2)
+        pos = from_blocks(np.arange(size).reshape(shape)).real.astype(int)[None]
+    elif shape[-2:] == (b, b):
+        ks, pos = slice(None), np.arange(size).reshape(-1, b, b)
+    else:
+        raise ValueError(f"expected parity blocks or a stack of {b} x {b} "
+                         f"blocks, got {shape}")
+    k, m = np.indices((b, b))[:, ks]
     on = m + k < b
     lo, hi = m * on, (m + k) * on
-    ids = np.arange(2 * np.prod(shape)).reshape(-1, b, b, 2)
-    n_blk = len(ids)
-    blk = (np.arange(n_blk)[:, None, None] + lo) % n_blk
+    ids = 2 * pos[..., None] + np.arange(2)
+    blk = (np.arange(len(ids))[:, None, None] + lo) % len(ids)
     gather = np.stack([ids[blk, lo, hi], ids[blk, hi, lo]])
     gather = gather.transpose(2, 3, 0, 1, 4)   # [k, m, side, block, re/im]
-    gather = np.where(on[..., None], gather.reshape(b, b, -1), ids.size)
-    scatter = np.empty(ids.size, dtype=int)
+    gather = np.where(on[..., None], gather.reshape(on.shape + (-1,)), 2 * size)
+    # the padding of odd-b parity blocks reads the last, off-matrix output
+    scatter = np.full(2 * size, gather.size - 1)
     scatter[gather[on]] = np.arange(gather.size).reshape(gather.shape)[on]
-    return gather, scatter
+    return gather, scatter, ks
 
 
 def _on_offset_diagonals(rho, b, step):
-    """Map the offset diagonals of rho (see _offset_layout) by step, which
-    takes and returns the real array [k, m, c]."""
-    gather, scatter = _offset_layout(rho.shape, b)
+    """Map the offset diagonals of rho (see _offset_layout) by step(x, ks),
+    which takes and returns the real array [k, m, c] of the offsets ks."""
+    gather, scatter, ks = _offset_layout(rho.shape, b)
     x = np.append(np.asarray(rho, dtype=complex).reshape(-1).view(float), 0.0)
-    return step(x[gather]).reshape(-1)[scatter].view(complex).reshape(rho.shape)
+    y = step(x[gather], ks)
+    return y.reshape(-1)[scatter].view(complex).reshape(rho.shape)
 
 
 class Dissipator:
     """Exact Lindblad flow of phase-covariant boson jumps over a time t.
 
     exp(t G[k]) of each _offset_generators diagonal is computed once on its
-    (b-k)-square block; apply maps any state layout of _offset_layout.
+    (b-k)-square block; apply maps either state layout of _offset_layout.
     """
 
     def __init__(self, jumps, t):
@@ -214,7 +229,8 @@ class Dissipator:
 
     def apply(self, rho):
         exp = self._exp
-        return _on_offset_diagonals(rho, exp.shape[0], lambda x: exp @ x)
+        return _on_offset_diagonals(rho, exp.shape[0],
+                                    lambda x, ks: exp[ks] @ x)
 
 
 class SplitStepPropagator:
@@ -223,9 +239,9 @@ class SplitStepPropagator:
     SLICE_US, each exp(-iH dt/2) D(dt) exp(-iH dt/2) with exact unitary
     halves (merged between slices) and the exact Dissipator D, so the only
     error is the splitting's, second order in the slice.  Without jumps
-    there is no splitting, and one slice is exact.  apply carries
-    the pumped rho_m as the two parity sectors: |down, n> sits in sector
-    n % 2 and |up, n> in the other, so rho_m must have no odd offsets.
+    there is no splitting, and one slice is exact.  apply maps the parity
+    blocks of the pumped rho_m: |down, n> sits in sector n % 2 and |up, n>
+    in the other, so block p fills the spin-down positions of sector p.
     """
 
     def __init__(self, H, jumps, t):
@@ -238,43 +254,54 @@ class SplitStepPropagator:
                                   for u in (half, half @ half)]
         self._dissipate = Dissipator(jumps, dt).apply if jumps else (lambda r: r)
 
-    def apply(self, rho_m):
-        """(rho_m, p_up) after the step from |down><down| (x) rho_m."""
-        if np.abs(rho_m[::2, 1::2]).max() > 1e-12:
-            raise ValueError("rho_m has odd offsets, breaking parity sectors")
-        out = np.zeros((2,) + rho_m.shape, dtype=complex)
-        out[0, ::2, ::2] = rho_m[::2, ::2]
-        out[1, 1::2, 1::2] = rho_m[1::2, 1::2]
+    def apply(self, state):
+        """(state, p_up) after the step from |down><down| (x) rho_m, for
+        rho_m and the output as parity blocks."""
+        out = np.zeros((2,) + (len(state),) * 2, dtype=complex)
+        out[0, ::2, ::2], out[1, 1::2, 1::2] = blocks(state)
         u, u_h = self._half
         out = u @ out @ u_h
         for i in range(self.n_slices):
             out = self._dissipate(out)
             u, u_h = self._full if i + 1 < self.n_slices else self._half
             out = u @ out @ u_h
-        # an odd offset of a sector couples |down> to |up> and traces out
-        rho_m = out[0] + out[1]
-        rho_m[::2, 1::2] = rho_m[1::2, ::2] = 0.0
         pup = np.trace(out[0, 1::2, 1::2]) + np.trace(out[1, ::2, ::2])
-        return rho_m, float(pup.real)
+        # an odd offset of a sector couples |down> to |up> and traces out
+        return to_blocks(out[0] + out[1]), float(pup.real)
 
 
-def pulse_kraus(theta, cutoff):
-    """Kraus pair (cos, sin) of the noise-free exact cooling pulse.
+def pulse_kraus(theta, cutoff, phase):
+    """Weights (keep, move, up) for apply_kraus of the noise-free exact
+    cooling pulse followed by the free evolution, phase[n] = exp(-i phi n).
 
     The spin enters in |down> and is pumped back to |down> afterwards, so a
-    pulse of area theta = Omega_c tau_c / 2 acts on rho_m alone through
-    cos(theta sqrt n) and sin(theta sqrt n)|n-1><n|, the resonant
-    red-sideband rotation of |down, n> into |up, n-1>.
+    pulse of area theta = Omega_c tau_c / 2 acts on rho_m alone through the
+    Kraus pair cos(theta sqrt n) and sin(theta sqrt n)|n-1><n|, the
+    resonant red-sideband rotation of |down, n> into |up, n-1>.  keep and
+    move are the parity blocks of w w^dag for w = phase cos(theta sqrt n),
+    which keeps level n, and w[n] = phase[n] sin(theta sqrt(n+1)), which
+    takes level n+1 to n; up = sin^2(theta sqrt n) weighs the populations
+    into p_up.
     """
     root_n = np.sqrt(np.arange(cutoff.bdim))
-    return np.cos(theta * root_n), np.sin(theta * root_n)
+    c, s = np.cos(theta * root_n), np.sin(theta * root_n)
+    keep = c * phase
+    move = np.append(s[1:], 0.0) * phase
+    return (*(to_blocks(np.outer(w, w.conj())) for w in (keep, move)), s**2)
 
 
-def apply_kraus(kraus, rho_m):
-    """A0 rho_m A0^dag + A1 rho_m A1^dag for the pair of pulse_kraus."""
-    c, s = kraus
-    out = c[:, None] * rho_m * c[None, :]
-    out[:-1, :-1] += s[1:, None] * rho_m[1:, 1:] * s[None, 1:]
+def apply_kraus(kraus, state):
+    """A0 rho_m A0^dag + A1 rho_m A1^dag on the parity blocks, for the
+    weights of pulse_kraus.  A1 lowers n by one, so each block feeds the
+    other."""
+    keep, move, _ = kraus
+    out = state * keep
+    (even, odd), (out_even, out_odd), (to_even, to_odd) = map(
+        blocks, (state, out, move))
+    n = len(odd)
+    out_even[:n, :n] += to_even[:n, :n] * odd
+    n = len(even) - 1
+    out_odd[:n, :n] += to_odd[:n, :n] * even[1:, 1:]
     return out
 
 
@@ -286,7 +313,8 @@ def recoil_diffusion(cutoff):
 
 
 def recoil_kick(rho_m, pup, noise, diffusion):
-    """Incoherent heating pulse from pump-photon recoil on the boson state.
+    """Incoherent heating pulse from pump-photon recoil on the boson state,
+    rho_m or its parity blocks.
 
     Raises the mean phonon number by dn = recoil_dn * (N_p * p_up)^2: the
     flow exp(dn G) of the unit diffusion pair {a^dag, a} (nbar grows by
@@ -303,11 +331,12 @@ def recoil_kick(rho_m, pup, noise, diffusion):
     decay = np.exp(dn * w)[..., None]
     vt = v.swapaxes(1, 2)
     return _on_offset_diagonals(rho_m, w.shape[-1],
-                                lambda x: v @ (decay * (vt @ x)))
+                                lambda x, ks: v[ks] @ (decay[ks] * (vt[ks] @ x)))
 
 
 class CoolingChannel:
-    """Precompiled dissipation stage of one cycle, a map on the boson state.
+    """Precompiled dissipation stage of one cycle, a map on the parity
+    blocks of the boson state (fockspace.to_blocks).
 
     Sequence: red-sideband pulse for tau_c on |down> (x) rho_m -> record the
     spin-up population -> pump the spin back to |down> -> optional recoil
@@ -321,7 +350,8 @@ class CoolingChannel:
 
     The stage needs no wall clock: the free evolution and every noise term
     are covariant under exp(-i phi n), so the interaction-frame phases of
-    the drive and cooling pictures cancel once the spin is pumped.
+    the drive and cooling pictures cancel once the spin is pumped.  For the
+    same reason the Kraus pulse takes the free evolution into its weights.
     """
 
     def __init__(self, cool, derived, cutoff, noise=None, mode="exact"):
@@ -332,12 +362,16 @@ class CoolingChannel:
         # only the exact pulses report the p_up that sets the recoil kick
         exact = mode == "exact" and (cool.omega_c > 0 or not noise_jumps)
 
-        if exact and not noise_jumps:
-            kraus = pulse_kraus(0.5 * cool.omega_c * cool.tau_c, cutoff)
-            # the second operator flips |down, n> to |up, n-1>
-            up = kraus[1] ** 2
-            self._pulse = lambda rho_m: (apply_kraus(kraus, rho_m),
-                                         float(up @ np.real(np.diag(rho_m))))
+        # free evolution; H0's constant -omega_a/2 on |down, n> cancels in rho_m
+        phase = np.exp(-1j * derived.omega_f * np.arange(cutoff.bdim)
+                       * cool.tau_d)
+        fused = exact and not noise_jumps
+        self._phase = None if fused else to_blocks(np.outer(phase, phase.conj()))
+        if fused:
+            kraus = pulse_kraus(0.5 * cool.omega_c * cool.tau_c, cutoff, phase)
+            up = kraus[2]
+            self._pulse = lambda state: (apply_kraus(kraus, state),
+                                         float(up @ populations(state).real))
         elif exact:
             self._pulse = SplitStepPropagator(
                 h_red_sideband(cool.omega_c, cutoff), noise_jumps,
@@ -347,22 +381,21 @@ class CoolingChannel:
             a, _, _ = build_boson_ops(cutoff)
             cooling = 0.5 * cool.omega_c * np.sqrt(cool.tau_c) * a
             prop = Dissipator([cooling] + noise_jumps, cool.tau_c)
-            self._pulse = lambda rho_m: (prop.apply(rho_m), 0.0)
+            self._pulse = lambda state: (prop.apply(state), 0.0)
 
         self._idle = (Dissipator(noise_jumps, cool.tau_d - cool.tau_c).apply
                       if noise_jumps else None)
         self._diffusion = (recoil_diffusion(cutoff)
                            if exact and self.noise.recoil_enabled else None)
-        # free evolution; H0's constant -omega_a/2 on |down, n> cancels in rho_m
-        self._phase = np.exp(-1j * derived.omega_f * np.arange(cutoff.bdim)
-                             * cool.tau_d)
 
-    def apply(self, rho_m):
-        """Apply the stage; returns (state, spin-up population before pump)."""
-        rho_m, pup = self._pulse(rho_m)
+    def apply(self, state):
+        """Apply the stage to the parity blocks of rho_m; returns (state,
+        spin-up population before pump)."""
+        state, pup = self._pulse(state)
         if self._diffusion is not None:
-            rho_m = recoil_kick(rho_m, pup, self.noise, self._diffusion)
+            state = recoil_kick(state, pup, self.noise, self._diffusion)
         if self._idle is not None:
-            rho_m = self._idle(rho_m)
-        p = self._phase
-        return p[:, None] * rho_m * p.conj()[None, :], pup
+            state = self._idle(state)
+        if self._phase is not None:
+            state = state * self._phase
+        return state, pup

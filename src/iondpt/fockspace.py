@@ -1,10 +1,10 @@
 """Truncated Fock space: the cutoff, boson operators and states.
 
-All operators and states are dense complex numpy arrays.  The state the
-simulation carries is the boson density matrix rho_m.  The composite
-qubit (x) Fock space, ordered |s> (x) |n> with the spin as the slow index
-and spin down at index 0 (flat index s*(n_max+1) + n), is for test
-references only.
+All operators and states are dense complex numpy arrays.  The simulation
+carries the boson density matrix rho_m, free of odd offsets, as its parity
+blocks (to_blocks).  The composite qubit (x) Fock space, ordered
+|s> (x) |n> with the spin as the slow index and spin down at index 0 (flat
+index s*(n_max+1) + n), is for test references only.
 """
 
 import numpy as np
@@ -86,9 +86,42 @@ def thermal_state(nbar, cutoff, eps=1e-6):
     return np.diag(p).astype(complex)
 
 
-def tail_mass(rho_m, k):
-    """Population of a boson density matrix in Fock indices >= k."""
-    return float(np.real(np.diag(rho_m))[k:].sum())
+def to_blocks(rho_m):
+    """The parity blocks of a boson density matrix without odd offsets, one
+    (b, ceil(b/2)) array that stacks rho_m[0::2, 0::2] above
+    rho_m[1::2, 1::2] (see blocks).  Its zero padding, one column of the
+    odd-level rows when b is odd, is never read."""
+    b = rho_m.shape[0]
+    state = np.zeros((b, (b + 1) // 2), dtype=complex)
+    even, odd = blocks(state)
+    even[:], odd[:] = rho_m[::2, ::2], rho_m[1::2, 1::2]
+    return state
+
+
+def blocks(state):
+    """Views of the even-level and odd-level blocks of the parity blocks."""
+    b, h = state.shape
+    return state[:h], state[h:, :b - h]
+
+
+def from_blocks(state):
+    """The boson density matrix of its parity blocks (see to_blocks)."""
+    rho_m = np.zeros((len(state),) * 2, dtype=complex)
+    rho_m[::2, ::2], rho_m[1::2, 1::2] = blocks(state)
+    return rho_m
+
+
+def populations(state):
+    """Diagonal of the parity blocks in level order, complex."""
+    even, odd = blocks(state)
+    pops = np.empty(len(state), dtype=complex)
+    pops[::2], pops[1::2] = even.diagonal(), odd.diagonal()
+    return pops
+
+
+def tail_mass(pops, k):
+    """Population in Fock indices >= k, from the diagonal of rho_m."""
+    return float(np.real(pops[k:]).sum())
 
 
 def check_density_matrix(rho):

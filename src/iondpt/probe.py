@@ -220,19 +220,22 @@ def default_k_max(rho_m, cap=40):
 
     Smallest k_max whose discarded tail contributes less than MAX_TAIL_NBAR
     to the mean phonon number; a naive multiple of nbar underestimates the
-    cutoff badly for geometric-like tails.
+    cutoff badly for geometric-like tails.  At most n_max - 1, the highest
+    level simulate_probe flops.
     """
     ok = np.nonzero(_tail_nbar(rho_m) <= MAX_TAIL_NBAR)[0]
-    return int(min(max(ok[0], 2), cap, rho_m.shape[0] - 1))
+    return int(min(max(ok[0], 2), cap, rho_m.shape[0] - 2))
 
 
 def measure_nbar(rho_m, omega_probe, shots=None, seed=0, k_max=None,
                  times=None, decay_model="sqrt"):
-    """End-to-end emulated measurement: scan, fit, propagate errors.  Warns
-    when the fit cutoff drops more than MAX_TAIL_NBAR phonons of the tail."""
+    """End-to-end emulated measurement: scan, fit, propagate errors.
+    k_max is clamped to n_max - 1: the top level n_max has no partner
+    inside the cutoff and never flops.  Warns when the fit cutoff drops
+    more than MAX_TAIL_NBAR phonons of the tail."""
     if k_max is None:
         k_max = default_k_max(rho_m)
-    k_max = min(k_max, rho_m.shape[0] - 1)
+    k_max = min(k_max, rho_m.shape[0] - 2)
     lost = _tail_nbar(rho_m)[k_max + 1]
     if lost > MAX_TAIL_NBAR:
         warnings.warn(f"k_max={k_max} drops {lost:.3g} tail phonons", RuntimeWarning)

@@ -2,8 +2,9 @@
 state, convergence detection, adaptive cutoff escalation.
 
 Every cycle ends with the spin optically pumped to |down>, so one cycle is a
-fixed CPTP map on the boson density matrix rho_m, which is the state carried
-from cycle to cycle.
+fixed CPTP map on the boson density matrix rho_m.  Every stage is
+phase-covariant, so rho_m has no odd offsets: the state carried from cycle
+to cycle is its parity blocks (fockspace.to_blocks).
 """
 
 import numpy as np
@@ -123,12 +124,10 @@ class Trajectory:
 
 
 def prepare_initial(config, cutoff):
-    """Initial boson state (thermal or ground); the spin starts in |down>."""
-    if config.initial.kind == "ground":
-        rho_m = np.zeros((cutoff.bdim, cutoff.bdim), dtype=complex)
-        rho_m[0, 0] = 1.0
-        return rho_m
-    return fs.thermal_state(config.initial.nbar, cutoff, eps=config.cutoff.eps)
+    """Parity blocks of the initial boson state (thermal or ground); the
+    spin starts in |down>."""
+    nbar = config.initial.nbar if config.initial.kind == "thermal" else 0.0
+    return fs.to_blocks(fs.thermal_state(nbar, cutoff, eps=config.cutoff.eps))
 
 
 def _jittered_drive(config):
@@ -142,7 +141,7 @@ def _jittered_drive(config):
 
 
 class _CyclePlan:
-    """Per-run cache of the cycle's stage maps on rho_m at a fixed cutoff."""
+    """Per-run cache of the cycle's stage maps at a fixed cutoff."""
 
     def __init__(self, config, drive, cutoff):
         derived = derive(drive)
@@ -153,18 +152,23 @@ class _CyclePlan:
             self.drive = lambda rho_m: prop.apply(rho_m)[0]
         else:
             # rho_m -> Tr_spin U (|down><down| (x) rho_m) U^dag per parity
-            # sector.  |down, n> sits in sector n % 2 and rho_m has no odd
-            # offsets (every stage is phase-covariant), so each sub-block
-            # rho_m[p::2, p::2] maps through the columns U[p][:, p::2], whose
-            # rows of parity r land in out[r::2, r::2] after the spin trace.
+            # sector.  |down, n> sits in sector n % 2, so block p maps through
+            # the columns U[p][:, p::2], whose rows of parity r land in block
+            # r after the spin trace: w holds them, even rows on top.
+            b, h = cutoff.bdim, (cutoff.bdim + 1) // 2
             U = sector_propagators(H, drive.tau)
-            maps = [(p, r, U[p, r::2, p::2].copy(), U[p, r::2, p::2].conj().T)
-                    for p in (0, 1) for r in (0, 1)]
+            rows = np.r_[0:b:2, 1:b:2]
+            w = np.hstack([U[0][rows, 0::2], U[1][rows, 1::2]])
+            w_h = w.conj().T.copy()
+            t = np.empty((b, b), dtype=complex)
 
-            def drive_map(rho_m):
-                out = np.zeros_like(rho_m)
-                for p, r, x, x_h in maps:
-                    out[r::2, r::2] += x @ rho_m[p::2, p::2].copy() @ x_h
+            def drive_map(state):
+                out = np.zeros_like(state)
+                (even, odd), (out_even, out_odd) = map(fs.blocks, (state, out))
+                np.matmul(w[:, :h], even, out=t[:, :h])
+                np.matmul(w[:, h:], odd, out=t[:, h:])
+                np.matmul(t[:h], w_h[:, :h], out=out_even)
+                np.matmul(t[h:], w_h[:, h:], out=out_odd)
                 return out
 
             self.drive = drive_map
@@ -175,11 +179,11 @@ class _CyclePlan:
 
 def _run_at_cutoff(config, drive, cutoff, n_cycles, stop_on_tolerance):
     try:
-        rho = prepare_initial(config, cutoff)
+        state = prepare_initial(config, cutoff)
     except ValueError as exc:
         raise _CutoffOverflow from exc   # thermal tail beyond eps: escalate
     k_check = cutoff.n_max - 1   # top two boson levels
-    if fs.tail_mass(rho, k_check) > config.cutoff.eps:
+    if fs.tail_mass(fs.populations(state), k_check) > config.cutoff.eps:
         raise _CutoffOverflow
     plan = _CyclePlan(config, drive, cutoff)
     levels = np.arange(cutoff.bdim)
@@ -190,12 +194,13 @@ def _run_at_cutoff(config, drive, cutoff, n_cycles, stop_on_tolerance):
     ran = n_cycles
     conv = config.convergence
     for i in range(n_cycles):
-        rho, pups[i] = plan.cooling.apply(plan.drive(rho))
-        if fs.tail_mass(rho, k_check) > config.cutoff.eps:
+        state, pups[i] = plan.cooling.apply(plan.drive(state))
+        pops = fs.populations(state)
+        if fs.tail_mass(pops, k_check) > config.cutoff.eps:
             raise _CutoffOverflow
         if config.debug_validate:
-            fs.check_density_matrix(rho)
-        nbar[i] = fs.expectation(rho.diagonal(), levels)
+            fs.check_density_matrix(fs.from_blocks(state))
+        nbar[i] = fs.expectation(pops, levels)
         if stop_on_tolerance and i + 1 >= conv.window:
             tail = nbar[i + 1 - conv.window:i + 1]
             if tail.max() - tail.min() < conv.tol:
@@ -208,7 +213,7 @@ def _run_at_cutoff(config, drive, cutoff, n_cycles, stop_on_tolerance):
     return Trajectory(cycle=cycle, nbar=nbar[:n], p_up=pups[:n],
                       t_us=cycle * (drive.tau + config.cool.tau_d),
                       n_max_used=np.full(n, cutoff.n_max, dtype=int),
-                      final_state=rho, converged=converged,
+                      final_state=fs.from_blocks(state), converged=converged,
                       cycles_run=n)
 
 

@@ -9,37 +9,33 @@ from iondpt.channels import (Dissipator, SplitStepPropagator, make_noise_jumps,
 from iondpt import model
 from iondpt.model import derive
 
-from helpers import (embed_down, frame_shift_diagonal, h_qrm, h_red_sideband,
-                     number_full, on_spin_blocks, p_up, spin_reset)
+from helpers import (composite_split_step, embed_down, frame_shift_diagonal,
+                     h_qrm, h_red_sideband, number_full, on_parity_blocks,
+                     on_spin_blocks, p_up, spin_reset)
 
 
-def composite_cycles_nbar(config, cutoff, n_cycles, t0):
-    """nbar after each cycle of the composite-space engine that threads the
-    interaction-frame phases of a wall clock starting at t0.
+def composite_cycles(config, cutoff, n_cycles, t0, chain=True):
+    """(nbar and p_up after each cycle, final rho_m) of the composite-space
+    engine that threads the interaction-frame phases of a wall clock
+    starting at t0, from the thermal state of config.initial.nbar.
 
     The state lives on spin (x) boson in the drive picture.  Each cooling
     pulse is conjugated into the cooling picture with exp(+i H0 t) at its
     wall-clock start and back with exp(-i H0 t) at its end, where H0 is
     the decoupled Rabi Hamiltonian, and the idle evolves under H0.  The
     noise, the linearized pulse and the recoil use the boson engine's own
-    dissipators on each spin block, and the noisy drive and exact pulse
-    run its parity-chain step on the boson state of the pumped composite
-    state and re-embed the output in |down>, so the comparison tests the
-    frame phases and not the integrator.  Each drive and pulse returns
-    the state and p_up.
+    dissipators on each spin block.  With chain, the noisy drive and exact
+    pulse run the engine's parity-chain step on the parity blocks of the
+    pumped boson state and re-embed the output in |down>, so the
+    comparison tests the frame phases and not the integrator's rounding.
+    Without it they run the same Strang split step on the whole composite
+    space (helpers.composite_split_step), and no map assumes that rho_m
+    has no odd offsets.  Each drive and pulse returns the state and p_up.
     """
     derived = derive(config.drive)
     cool, noise = config.cool, config.noise
     h0 = frame_shift_diagonal(derived, cutoff)
     jumps = make_noise_jumps(noise, cutoff)
-
-    def chain_step(h, t):
-        apply = SplitStepPropagator(h, jumps, t).apply
-
-        def step(rho):
-            rho_m, pup = apply(fs.trace_out_spin(rho))
-            return embed_down(rho_m), pup
-        return step
 
     def composite_step(apply):
         def step(rho):
@@ -47,9 +43,22 @@ def composite_cycles_nbar(config, cutoff, n_cycles, t0):
             return rho, p_up(rho)
         return step
 
+    def split_step(h_pair, h_full, t):
+        if not chain:
+            return composite_step(
+                lambda rho: composite_split_step(h_full, jumps, t, rho))
+        apply = on_parity_blocks(SplitStepPropagator(h_pair, jumps, t).apply)
+
+        def step(rho):
+            rho_m, pup = apply(fs.trace_out_spin(rho))
+            return embed_down(rho_m), pup
+        return step
+
     if jumps:
-        drive = chain_step(model.h_qrm(derived, cutoff), config.drive.tau)
-        exact_pulse = chain_step(model.h_red_sideband(cool.omega_c, cutoff),
+        drive = split_step(model.h_qrm(derived, cutoff),
+                           h_qrm(derived, cutoff), config.drive.tau)
+        exact_pulse = split_step(model.h_red_sideband(cool.omega_c, cutoff),
+                                 h_red_sideband(cool.omega_c, cutoff),
                                  cool.tau_c)
     else:
         U = unitary_propagator(h_qrm(derived, cutoff), config.drive.tau)
@@ -77,7 +86,7 @@ def composite_cycles_nbar(config, cutoff, n_cycles, t0):
                                       eps=config.cutoff.eps))
     num = number_full(cutoff)
     t = t0
-    nbar = []
+    nbar, pups = [], []
     for _ in range(n_cycles):
         rho = drive(rho)[0]
         t += config.drive.tau
@@ -88,7 +97,13 @@ def composite_cycles_nbar(config, cutoff, n_cycles, t0):
         rho = to_frame(idle_noise(rho), -t_idle)
         t += cool.tau_d
         nbar.append(fs.expectation(rho, num))
-    return np.array(nbar)
+        pups.append(pup)
+    return np.array(nbar), np.array(pups), fs.trace_out_spin(rho)
+
+
+def composite_cycles_nbar(config, cutoff, n_cycles, t0):
+    """nbar after each cycle of composite_cycles."""
+    return composite_cycles(config, cutoff, n_cycles, t0)[0]
 
 
 @pytest.fixture

@@ -117,6 +117,18 @@ def spin_reset(rho):
     return embed_down(fs.trace_out_spin(rho))
 
 
+def on_parity_blocks(apply):
+    """A map on the parity blocks of rho_m (fockspace.to_blocks) as a map
+    on rho_m: split, apply, reassemble.  A (state, p_up) result keeps its
+    p_up.  The split drops odd offsets."""
+    def mapped(rho_m):
+        out = apply(fs.to_blocks(rho_m))
+        if isinstance(out, tuple):
+            return (fs.from_blocks(out[0]),) + out[1:]
+        return fs.from_blocks(out)
+    return mapped
+
+
 def on_spin_blocks(apply):
     """I (x) D on the spin (x) boson space for a boson map apply = D: D on
     each b x b spin block of the state."""

@@ -13,7 +13,8 @@ from iondpt.channels import (NoiseParams, SplitStepPropagator, CoolingChannel,
 
 import helpers
 from helpers import (composite_split_step, embed_down, h_qrm, h_red_sideband,
-                     ket, on_spin_blocks, p_up, projector, spin_reset, tensor)
+                     ket, on_parity_blocks, on_spin_blocks, p_up, projector,
+                     spin_reset, tensor)
 
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
 DERIVED = derive(DriveParams.from_khz(26.0, 24.0, 9.0, 20.0))
@@ -35,26 +36,31 @@ def number(rho_m):
     return fs.expectation(rho_m, np.diag(np.arange(rho_m.shape[0])))
 
 
+def cooling_stage(rho_m, mode, cool=COOL, noise=None):
+    """One cooling stage on rho_m through its parity blocks; returns
+    (rho_m, p_up before the pump)."""
+    cut = FockCutoff(rho_m.shape[0] - 1)
+    channel = CoolingChannel(cool, DERIVED, cut, noise=noise, mode=mode)
+    return on_parity_blocks(channel.apply)(rho_m)
+
+
 def cool_exact(rho_m, cool=COOL, noise=None):
     """One exact cooling stage; returns (state, p_up before the pump)."""
-    cut = FockCutoff(rho_m.shape[0] - 1)
-    return CoolingChannel(cool, DERIVED, cut, noise=noise, mode="exact").apply(rho_m)
+    return cooling_stage(rho_m, "exact", cool=cool, noise=noise)
 
 
 def cool_lindblad(rho_m, noise=None):
     """One linearized cooling stage."""
-    cut = FockCutoff(rho_m.shape[0] - 1)
-    return CoolingChannel(COOL, DERIVED, cut, noise=noise,
-                          mode="lindblad").apply(rho_m)[0]
+    return cooling_stage(rho_m, "lindblad", noise=noise)[0]
 
 
 def pulse_map(mode, theta, cut):
     """The noise-free cooling pulse of area theta as a map on rho_m: the
-    exact Kraus pair, or the linearized jump sqrt(theta^2/tau_c) a over
-    tau_c as a Dissipator."""
+    exact Kraus pair on the parity blocks, or the linearized jump
+    sqrt(theta^2/tau_c) a over tau_c as a Dissipator."""
     if mode == "exact":
-        kraus = pulse_kraus(theta, cut)
-        return lambda rho_m: apply_kraus(kraus, rho_m)
+        kraus = pulse_kraus(theta, cut, 1.0)   # no free evolution
+        return on_parity_blocks(lambda state: apply_kraus(kraus, state))
     a = fs.build_boson_ops(cut)[0]
     return Dissipator([theta / np.sqrt(COOL.tau_c) * a], COOL.tau_c).apply
 
@@ -69,6 +75,14 @@ def random_state(n_max, seed):
     m = rng.normal(size=(n_max + 1,) * 2) + 1j * rng.normal(size=(n_max + 1,) * 2)
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def even_state(n_max, seed):
+    """A random boson state without odd offsets: the mean of rho and
+    P rho P for the boson parity P = (-1)^n."""
+    rho = random_state(n_max, seed)
+    p = (-1.0) ** np.arange(n_max + 1)
+    return 0.5 * (rho + p[:, None] * rho * p[None, :])
 
 
 def test_noise_params_validation_and_units():
@@ -327,8 +341,7 @@ def test_pulse_kraus_complete(mode, theta):
 @pytest.mark.parametrize("mode", ["exact", "lindblad"])
 def test_noise_free_cooling_stage_trace_and_positivity(mode):
     rho = random_state(25, seed=5)
-    ch = CoolingChannel(COOL, DERIVED, FockCutoff(25), mode=mode)
-    out, pup = ch.apply(rho)
+    out, pup = cooling_stage(rho, mode)
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(out)[0] > -1e-12
     assert 0.0 <= pup <= 1.0
@@ -341,10 +354,10 @@ def test_noise_free_cooling_stage_trace_and_positivity(mode):
 
 def test_exact_pulse_matches_sideband_rotation():
     cut = FockCutoff(12)
-    rho = random_state(cut.n_max, seed=2)
+    rho = even_state(cut.n_max, seed=2)
     rotated = unitary_step(embed_down(rho), h_red_sideband(COOL.omega_c, cut),
                            COOL.tau_c)
-    out = apply_kraus(pulse_kraus(THETA, cut), rho)
+    out = pulse_map("exact", THETA, cut)(rho)
     assert np.abs(out - fs.trace_out_spin(rotated)).max() < 1e-12
     assert p_up(rotated) == pytest.approx(
         float(np.sin(THETA * np.sqrt(np.arange(cut.bdim))) ** 2
@@ -371,8 +384,8 @@ def test_split_step_matches_lindblad_step():
     rho_m = fs.thermal_state(1.5, cut, eps=5e-3)
     t = 20.0
     ref = lindblad_step(embed_down(rho_m), H, lifted(jumps), t)
-    out, pup = SplitStepPropagator(model.h_qrm(DERIVED, cut), jumps,
-                                   t).apply(rho_m)
+    out, pup = on_parity_blocks(SplitStepPropagator(
+        model.h_qrm(DERIVED, cut), jumps, t).apply)(rho_m)
     # the Strang splitting error of the 0.5 us slice: 2.4e-6 measured on
     # the state and 4.1e-6 on p_up
     assert 1e-6 < np.abs(out - fs.trace_out_spin(ref)).max() < 1e-5
@@ -382,7 +395,8 @@ def test_split_step_matches_lindblad_step():
     Hd = np.diag(np.diag(H)).astype(complex)
     ref_d = lindblad_step(embed_down(rho_m), Hd, lifted(jumps), t)
     d, e = model.h_qrm(DERIVED, cut)
-    out_d, pup_d = SplitStepPropagator((d, 0 * e), jumps, t).apply(rho_m)
+    out_d, pup_d = on_parity_blocks(SplitStepPropagator(
+        (d, 0 * e), jumps, t).apply)(rho_m)
     assert np.abs(out_d - fs.trace_out_spin(ref_d)).max() < 1e-12
     assert abs(pup_d - p_up(ref_d)) < 1e-12
 
@@ -390,20 +404,12 @@ def test_split_step_matches_lindblad_step():
 def test_split_step_without_jumps_is_unitary():
     cut = FockCutoff(6)
     H = h_qrm(DERIVED, cut)
-    out, pup = SplitStepPropagator(model.h_qrm(DERIVED, cut), [],
-                                   13.0).apply(fock(cut.n_max, 2))
+    out, pup = on_parity_blocks(SplitStepPropagator(
+        model.h_qrm(DERIVED, cut), [], 13.0).apply)(fock(cut.n_max, 2))
     ref = unitary_step(projector(cut, 0, 2), H, 13.0)
     # one exact slice: 1.7e-15 on the state and 7.2e-16 on p_up
     assert np.abs(out - fs.trace_out_spin(ref)).max() < 1e-14
     assert abs(pup - p_up(ref)) < 1e-14
-
-
-def even_state(n_max, seed):
-    """A random boson state without odd offsets: the mean of rho and
-    P rho P for the boson parity P = (-1)^n."""
-    rho = random_state(n_max, seed)
-    p = (-1.0) ** np.arange(n_max + 1)
-    return 0.5 * (rho + p[:, None] * rho * p[None, :])
 
 
 @pytest.mark.parametrize("n_max", [12, 30])
@@ -415,24 +421,12 @@ def test_chain_split_step_matches_composite(stage, n_max):
     jumps = make_noise_jumps(NoiseParams(heating_rate=5e-3,
                                          dephasing_rate=2e-2), cut)
     rho_m = even_state(n_max, seed=n_max)
-    out, pup = SplitStepPropagator(getattr(model, name)(x, cut), jumps,
-                                   t).apply(rho_m)
+    out, pup = on_parity_blocks(SplitStepPropagator(
+        getattr(model, name)(x, cut), jumps, t).apply)(rho_m)
     ref = composite_split_step(getattr(helpers, name)(x, cut), jumps, t,
                                embed_down(rho_m))
     assert np.abs(out - fs.trace_out_spin(ref)).max() <= 1e-12
     assert abs(pup - p_up(ref)) <= 1e-12
-
-
-def test_split_step_rejects_parity_breaking():
-    cut = FockCutoff(8)
-    prop = SplitStepPropagator(model.h_qrm(DERIVED, cut), [], 1.0)
-    rho_m = even_state(cut.n_max, seed=1)
-    # |down, 0> and |down, 1> lie in different sectors
-    rho_m[0, 1] = rho_m[1, 0] = 1e-13
-    prop.apply(rho_m)
-    rho_m[0, 1] = rho_m[1, 0] = 1e-11
-    with pytest.raises(ValueError, match="parity"):
-        prop.apply(rho_m)
 
 
 def test_zero_amplitude_cooling_pulse_keeps_populations():
@@ -502,6 +496,25 @@ def test_dissipator_trace_and_positivity():
         # not split into four wrong ones
         with pytest.raises(ValueError, match="blocks"):
             diss.apply(composite)
+
+
+@pytest.mark.parametrize("n_max", [15, 16])
+def test_parity_blocks_map_like_rho_m(n_max):
+    """On the parity blocks the Dissipator and the recoil kick gather the
+    even offsets alone, and agree with their maps on rho_m; the padding
+    column of an odd dimension stays zero."""
+    cut = FockCutoff(n_max)
+    rho = even_state(n_max, seed=n_max)
+    noise = NoiseParams(recoil_enabled=True, recoil_dn=0.04, photons_per_pump=2)
+    diffusion = recoil_diffusion(cut)
+    maps = [Dissipator(jumps, 4.0).apply
+            for jumps in dissipator_jump_sets(cut).values()]
+    maps.append(lambda r: recoil_kick(r, 0.5, noise, diffusion))
+    for apply in maps:
+        out = apply(fs.to_blocks(rho))
+        assert out.shape == (cut.bdim, (cut.bdim + 1) // 2)
+        assert np.abs(fs.from_blocks(out) - apply(rho)).max() <= 1e-15
+        assert np.all(out[cut.bdim // 2 + 1:, cut.bdim // 2:] == 0)
 
 
 def test_dissipator_rejects_non_covariant_jump():

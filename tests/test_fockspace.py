@@ -97,8 +97,8 @@ def test_thermal_state_mean_and_tail():
     rho = fs.thermal_state(5.0, cut)
     num = np.diag(np.arange(cut.bdim)).astype(complex)
     assert fs.expectation(rho, num) == pytest.approx(5.0, abs=1e-4)
-    assert fs.tail_mass(fs.thermal_state(1.0, FockCutoff(40)), 1) == \
-        pytest.approx(0.5, abs=1e-10)
+    assert fs.tail_mass(fs.thermal_state(1.0, FockCutoff(40)).diagonal(),
+                        1) == pytest.approx(0.5, abs=1e-10)
     with pytest.raises(ValueError):
         fs.thermal_state(5.0, FockCutoff(10))  # tail exceeds eps
     with pytest.raises(ValueError):
@@ -136,8 +136,26 @@ def test_tail_mass_full_space():
     cut = FockCutoff(4)
     rho = 0.5 * projector(cut, 0, 4) + 0.5 * projector(cut, 1, 0)
     rho_m = fs.trace_out_spin(rho)
-    assert fs.tail_mass(rho_m, 4) == pytest.approx(0.5)
-    assert fs.tail_mass(rho_m, 0) == pytest.approx(1.0)
+    assert fs.tail_mass(rho_m.diagonal(), 4) == pytest.approx(0.5)
+    assert fs.tail_mass(rho_m.diagonal(), 0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n_max", [1, 6, 7])
+def test_parity_blocks_round_trip(n_max):
+    """rho_m without odd offsets is its two parity blocks, stacked even
+    above odd; populations reads their diagonals in level order."""
+    b = n_max + 1
+    rng = np.random.default_rng(n_max)
+    rho = rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b))
+    odd = np.subtract.outer(np.arange(b), np.arange(b)) % 2 == 1
+    rho[odd] = 0.0
+    state = fs.to_blocks(rho)
+    h = (b + 1) // 2
+    assert state.shape == (b, h)
+    assert np.array_equal(state[:h], rho[::2, ::2])
+    assert np.array_equal(state[h:, :b // 2], rho[1::2, 1::2])
+    assert np.array_equal(fs.from_blocks(state), rho)
+    assert np.array_equal(fs.populations(state), rho.diagonal())
 
 
 def test_check_density_matrix():

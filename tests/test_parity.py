@@ -1,5 +1,6 @@
 """The parity -sigma_z (-1)^n that the drive and the sideband conserve: the
-structural facts the parity-chain propagators rest on."""
+structural facts the parity-chain propagators and the parity-block state
+rest on."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from iondpt.protocol import (CutoffPolicy, ExperimentConfig, InitialState,
                              run_cycles)
 
 import helpers
+from conftest import composite_cycles
 
 DRIVE = DriveParams.from_khz(26.0, 24.0, 9.0, 20.0)
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
@@ -47,18 +49,41 @@ def test_sector_hamiltonians_real_tridiagonal():
             assert np.abs(e - np.diagonal(blocks, 1, 1, 2).real).max() <= tol
 
 
-@pytest.mark.parametrize("mode,noise", [
+CASES = pytest.mark.parametrize("mode,noise", [
     ("exact", NOISE), ("exact", NoiseParams()), ("lindblad", NoiseParams()),
     ("lindblad", replace(NOISE, recoil_enabled=False))],
     ids=["exact-noisy", "exact", "linearized", "linearized-noisy"])
-def test_odd_offsets_stay_zero(mode, noise):
-    """Every stage is phase-covariant, so rho_m never gains odd offsets."""
-    cfg = config_with_coupling(ExperimentConfig(
+
+
+def parity_config(mode, noise, cycles):
+    return config_with_coupling(ExperimentConfig(
         drive=DRIVE, cool=COOL, noise=noise, channel_mode=mode,
-        initial=InitialState(kind="thermal", nbar=1.0), max_cycles=30,
+        initial=InitialState(kind="thermal", nbar=1.0), max_cycles=cycles,
         cutoff=CutoffPolicy(n_max=20, eps=1e-2)), 1.2)
-    rho = run_cycles(cfg).final_state
+
+
+@CASES
+def test_odd_offsets_stay_zero(mode, noise):
+    """Every stage is phase-covariant, so rho_m never gains odd offsets:
+    the composite reference maps, which act on the whole spin (x) boson
+    state, keep them at zero, which is what lets the engine carry rho_m as
+    its two parity blocks."""
+    cfg = parity_config(mode, noise, 30)
+    rho = composite_cycles(cfg, FockCutoff(20), 30, 0.0, chain=False)[2]
     n = np.arange(rho.shape[0])
     odd = np.subtract.outer(n, n) % 2 == 1
     assert np.abs(rho[odd]).max() <= 1e-14
     assert np.abs(rho[~odd]).max() > 1e-3
+
+
+@CASES
+def test_engine_matches_composite_reference(mode, noise):
+    """The parity-block engine against the composite reference over 50
+    cycles: nbar and p_up per cycle and the reassembled final rho_m."""
+    cfg = parity_config(mode, noise, 50)
+    traj = run_cycles(cfg)
+    assert np.all(traj.n_max_used == 20)
+    nbar, pup, rho = composite_cycles(cfg, FockCutoff(20), 50, 0.0)
+    assert np.abs(traj.nbar - nbar).max() <= 1e-12
+    assert np.abs(traj.p_up - pup).max() <= 1e-12
+    assert np.abs(traj.final_state - rho).max() <= 1e-12

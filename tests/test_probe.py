@@ -207,6 +207,21 @@ def test_measure_nbar_warns_when_cutoff_drops_the_tail():
     assert nbar < np.arange(rho.shape[0]) @ np.real(np.diag(rho)) - 0.5
 
 
+def test_measure_nbar_cannot_fit_the_top_level():
+    """The probe never flops level n_max, so a k_max of n_max fits as
+    n_max - 1 does and warns about the tail it cannot see."""
+    rho = thermal_state(2.0, FockCutoff(12), eps=1e-2)
+    assert pr.default_k_max(rho, cap=40) == 11
+    fits = {}
+    for k_max in (12, 11):
+        with pytest.warns(RuntimeWarning, match=r"k_max=11 drops 0\.031 tail"):
+            fits[k_max] = measure_nbar(rho, OMEGA, k_max=k_max)
+    assert fits[12][0] == fits[11][0]
+    assert fits[12][2].p.size == 12
+    direct = np.arange(13) @ np.real(np.diag(rho))
+    assert direct - fits[12][0] > 0.03
+
+
 def test_fit_requires_enough_samples():
     times = np.linspace(0.1, 10.0, 12)
     scan = simulate_probe(fock_diag([1.0]), OMEGA, times)

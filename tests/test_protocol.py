@@ -12,7 +12,7 @@ from iondpt.protocol import (ExperimentConfig, InitialState, Convergence,
                              config_with_coupling, config_with_ratio,
                              _CyclePlan)
 
-from helpers import h_qrm
+from helpers import h_qrm, on_parity_blocks
 
 DRIVE = DriveParams.from_khz(26.0, 24.0, 9.0, 20.0)
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
@@ -45,14 +45,16 @@ def test_config_validation():
 def test_prepare_initial():
     cut = FockCutoff(50)
     num = np.diag(np.arange(cut.bdim))
-    ground = prepare_initial(make_config(), cut)
+    ground = fs.from_blocks(prepare_initial(make_config(), cut))
     assert fs.expectation(ground, num) == pytest.approx(0.0)
     assert ground[0, 0].real == pytest.approx(1.0)
     cfg = make_config(initial=InitialState(kind="thermal", nbar=5.0))
     thermal = prepare_initial(cfg, cut)
-    assert fs.expectation(thermal, num) == pytest.approx(5.0, abs=0.02)
-    # a boson state: the spin is not carried, it is always down
-    assert thermal.shape == (cut.bdim, cut.bdim)
+    assert fs.expectation(fs.from_blocks(thermal), num) == pytest.approx(
+        5.0, abs=0.02)
+    # the parity blocks of a boson state: the spin is not carried, it is
+    # always down
+    assert thermal.shape == (cut.bdim, (cut.bdim + 1) // 2)
 
 
 def test_no_drive_stays_in_vacuum():
@@ -203,7 +205,7 @@ def test_drive_stage_trace_and_positivity(noisy):
     cfg = make_config(noise=NOISE if noisy else NoiseParams())
     plan = _CyclePlan(cfg, cfg.drive, cut)
     rho = fs.thermal_state(2.0, cut, eps=1e-3)
-    out = plan.drive(rho)
+    out = on_parity_blocks(plan.drive)(rho)
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(out)[0] > -1e-12
     assert np.abs(out - out.conj().T).max() < 1e-14
@@ -223,5 +225,5 @@ def test_noise_free_drive_map_matches_dense_unitary(n_max):
     z = (-1.0) ** np.arange(b)
     rho = 0.5 * (rho + z[:, None] * rho * z[None, :]) / np.trace(rho).real
     ref = sum(u @ rho @ u.conj().T for u in (U[:b, :b], U[b:, :b]))
-    out = _CyclePlan(make_config(), DRIVE, cut).drive(rho)
+    out = on_parity_blocks(_CyclePlan(make_config(), DRIVE, cut).drive)(rho)
     assert np.abs(out - ref).max() <= 1e-12

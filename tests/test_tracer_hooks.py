@@ -53,3 +53,31 @@ def test_split_step_spans_under_drive_and_cooling(spans, tmp_path):
     metrics = spans.layer_metrics(recorded)
     assert metrics["channels.splitstep.drive_s"] > 0
     assert metrics["channels.splitstep.dissipation_s"] > 0
+
+
+def test_noise_free_exact_run_spans(spans, tmp_path):
+    """The tracer reads the cutoff dimension off the parity blocks that
+    CoolingChannel.apply receives, and the run reads its tail once per
+    cycle (plus once on the initial state)."""
+    from iondpt import analysis
+    from iondpt.model import CoolParams, DriveParams
+    from iondpt.protocol import CutoffPolicy, ExperimentConfig, InitialState
+    cfg = ExperimentConfig(
+        drive=DriveParams.from_khz(26.0, 24.0, 9.0, 20.0),
+        cool=CoolParams.from_khz(20.0, 5.0, 13.0),
+        initial=InitialState(kind="thermal", nbar=1.0),
+        max_cycles=5, cutoff=CutoffPolicy(n_max=12, eps=1e-2))
+    tracer = spans.install(str(tmp_path))
+    try:
+        analysis.run(cfg)
+    finally:
+        tracer.uninstall()
+    recorded = tracer.collect()
+    cooling = [s for s in recorded
+               if s["name"] == "channels.CoolingChannel.apply"]
+    assert [(s["dim"], s["noisy"]) for s in cooling] == [(13, False)] * 5
+    names = [s["name"] for s in recorded]
+    assert names.count("fockspace.tail_mass") == 5 + 1
+    assert names.count("fockspace.expectation") == 5
+    metrics = spans.layer_metrics(recorded)
+    assert metrics["kernel.drive.gflop"] == pytest.approx(5 * 16 * 13**3 / 1e9)
