@@ -7,7 +7,7 @@ The package is organized around small focused modules:
   composite spin-boson space is for test references only
 - model: parameter derivation, Hamiltonians on their two parity sectors
 - channels: unitary/Lindblad propagation, the cooling channel, noise
-- protocol: the repeated drive -> dissipate cycle engine
+- protocol: the repeated drive -> dissipate cycle engine, run(config)
 - probe: blue-sideband population measurement emulation and fitting
 - analysis: parameter scans and curve fits
 - cli: command-line front end
@@ -19,8 +19,7 @@ from .fockspace import FockCutoff, thermal_state, check_density_matrix
 from .model import DriveParams, CoolParams, DerivedParams, derive, khz
 from .channels import NoiseParams, CoolingChannel, lindblad_step, unitary_step
 from .protocol import (ExperimentConfig, InitialState, Convergence,
-                       CutoffPolicy, Trajectory, run, run_cycles,
-                       run_to_convergence, SimulationDiverged)
+                       CutoffPolicy, Trajectory, run, SimulationDiverged)
 from .probe import ProbeParams, measure_nbar, simulate_probe, fit_populations
 from .analysis import (g_scan, r_scan, cooling_scan, extrapolate_saturation,
                        fit_exponential_saturation, fit_critical_power_law,

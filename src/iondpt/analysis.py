@@ -51,13 +51,13 @@ def _steady_point(args):
     except SimulationDiverged:
         return dict(nbar=np.nan, sigma=np.nan, converged=False, cycles=0,
                     n_max=config.cutoff.ceiling)
-    nbar = traj.steady_nbar(config.convergence.window)
+    nbar = traj.steady_nbar()
     sigma = np.nan
     if probe is not None:
         nbar, sigma, _, _ = measure_nbar(traj.final_state, seed=config.seed,
                                          **asdict(probe))
     return dict(nbar=nbar, sigma=sigma, converged=traj.converged,
-                cycles=traj.cycles_run, n_max=int(traj.n_max_used[-1]))
+                cycles=traj.cycles_run, n_max=traj.n_max)
 
 
 def _point_configs(make, values, probe, axis=True):

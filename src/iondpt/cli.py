@@ -19,7 +19,6 @@ from . import __version__
 from . import analysis, probe
 from .config import (ConfigError, load_tree, experiment_from_tree, scan_spec,
                      probe_spec)
-from .model import khz
 from .protocol import SimulationDiverged, run
 
 EXIT_CONFIG = 2
@@ -83,10 +82,9 @@ def cmd_run(args):
     stem = _stem(args)
     csv_path = os.path.join(args.out_dir, f"{stem}_trajectory.csv")
     probe.write_csv(csv_path, ["cycle", "nbar", "p_up", "t_us", "n_max"],
-                    ([int(traj.cycle[i]), f"{traj.nbar[i]:.12g}",
-                      f"{traj.p_up[i]:.12g}", f"{traj.t_us[i]:.12g}",
-                      int(traj.n_max_used[i])]
-                     for i in range(traj.cycles_run)))
+                    ([c, f"{n:.12g}", f"{p:.12g}", f"{t:.12g}", traj.n_max]
+                     for c, n, p, t in zip(traj.cycle, traj.nbar, traj.p_up,
+                                           traj.t_us)))
     outputs = {"trajectory": csv_path}
 
     if traj.cycles_run >= 10:
@@ -102,8 +100,7 @@ def cmd_run(args):
 
     manifest = _write_manifest(args.out_dir, stem, tree, config.seed, started,
                                outputs)
-    steady = traj.steady_nbar(config.convergence.window)
-    print(f"cycles={traj.cycles_run} steady_nbar={steady:.4f} "
+    print(f"cycles={traj.cycles_run} steady_nbar={traj.steady_nbar():.4f} "
           f"converged={traj.converged}")
     print(f"wrote {csv_path}")
     print(f"wrote {manifest}")
@@ -125,8 +122,7 @@ def cmd_scan(args):
         scans = [analysis.r_scan(config, spec["values"], spec["fixed_g"],
                                  popts, threads=threads)]
     else:
-        omega_values = [khz(f) for f in spec["omega_c_khz"]]
-        scans = analysis.cooling_scan(config, omega_values, spec["values"],
+        scans = analysis.cooling_scan(config, spec["omega_c"], spec["values"],
                                       popts, threads=threads)
 
     stem = _stem(args)
@@ -168,9 +164,8 @@ def cmd_fit(args):
     try:
         if args.model == "populations":
             scan = probe.scan_from_csv(args.data, popts.omega_probe)
-            fit = probe.fit_populations(
-                scan, 8 if popts.k_max is None else popts.k_max,
-                decay_model=popts.decay_model)
+            k_max = probe.STORED_SCAN_K_MAX if popts.k_max is None else popts.k_max
+            fit = probe.fit_populations(scan, k_max, decay_model=popts.decay_model)
             nbar, sigma = probe.nbar_from_fit(fit)
             report = {"model": "populations",
                       "params": {"nbar": nbar,

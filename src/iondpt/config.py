@@ -145,7 +145,8 @@ def load_experiment(path):
 
 
 def scan_spec(tree):
-    """Validated scan section: axis plus either explicit values or a range."""
+    """Validated scan section: axis plus either explicit values or a range;
+    a cooling scan's omega_c (rad/us) per g-scan."""
     sec = _mapping(tree, "scan", "config")
     axis = _require(sec, "axis", "scan")
     if axis not in ("g", "R", "cooling"):
@@ -163,7 +164,7 @@ def scan_spec(tree):
     if axis == "R":
         out["fixed_g"] = _number(sec, "fixed_g", "scan")
     if axis == "cooling":
-        out["omega_c_khz"] = _numbers(sec, "omega_c_khz", "scan")
+        out["omega_c"] = [khz(f) for f in _numbers(sec, "omega_c_khz", "scan")]
     return out
 
 

@@ -23,6 +23,8 @@ DECAY_MODELS = {
     "const": lambda k: np.ones_like(k, dtype=float),
 }
 MAX_TAIL_NBAR = 0.02   # phonons a fit cutoff may drop from the Fock tail
+K_MAX_CAP = 40         # largest fit cutoff default_k_max picks
+STORED_SCAN_K_MAX = 8  # fit cutoff of a stored scan: no state to size it
 
 
 class FitError(RuntimeError):
@@ -35,7 +37,8 @@ class ProbeParams:
 
     omega_probe: float | None = None  # rad/us; None = cooling Rabi frequency
     shots: int | None = None          # None = exact expectation values
-    k_max: int | None = None          # fit cutoff; None = default_k_max
+    # fit cutoff; None = default_k_max(rho_m); STORED_SCAN_K_MAX without rho_m
+    k_max: int | None = None
     decay_model: str = "sqrt"
 
     def __post_init__(self):
@@ -215,20 +218,20 @@ def _tail_nbar(rho_m):
     return np.append(weighted[::-1].cumsum()[::-1], 0.0)
 
 
-def default_k_max(rho_m, cap=40):
+def default_k_max(rho_m):
     """Fit cutoff for emulated measurements with a known state.
 
     Smallest k_max whose discarded tail contributes less than MAX_TAIL_NBAR
     to the mean phonon number; a naive multiple of nbar underestimates the
-    cutoff badly for geometric-like tails.  At most n_max - 1, the highest
-    level simulate_probe flops.
+    cutoff badly for geometric-like tails.  At most K_MAX_CAP and n_max - 1,
+    the highest level simulate_probe flops.
     """
     ok = np.nonzero(_tail_nbar(rho_m) <= MAX_TAIL_NBAR)[0]
-    return int(min(max(ok[0], 2), cap, rho_m.shape[0] - 2))
+    return int(min(max(ok[0], 2), K_MAX_CAP, rho_m.shape[0] - 2))
 
 
 def measure_nbar(rho_m, omega_probe, shots=None, seed=0, k_max=None,
-                 times=None, decay_model="sqrt"):
+                 decay_model="sqrt"):
     """End-to-end emulated measurement: scan, fit, propagate errors.
     k_max is clamped to n_max - 1: the top level n_max has no partner
     inside the cutoff and never flops.  Warns when the fit cutoff drops
@@ -239,9 +242,8 @@ def measure_nbar(rho_m, omega_probe, shots=None, seed=0, k_max=None,
     lost = _tail_nbar(rho_m)[k_max + 1]
     if lost > MAX_TAIL_NBAR:
         warnings.warn(f"k_max={k_max} drops {lost:.3g} tail phonons", RuntimeWarning)
-    if times is None:
-        n_points = max(60, 3 * (k_max + 2) + 12)
-        times = default_probe_times(omega_probe, n_points=n_points)
+    times = default_probe_times(omega_probe,
+                                n_points=max(60, 3 * (k_max + 2) + 12))
     scan = simulate_probe(rho_m, omega_probe, times, shots=shots, seed=seed)
     fit = fit_populations(scan, k_max, decay_model=decay_model)
     nbar, sigma = nbar_from_fit(fit)

@@ -1,5 +1,6 @@
-"""Stroboscopic experiment engine: drive -> dissipate cycles on the boson
-state, convergence detection, adaptive cutoff escalation.
+"""Stroboscopic experiment engine, entered through run(config): drive ->
+dissipate cycles on the boson state, convergence detection, adaptive cutoff
+escalation.
 
 Every cycle ends with the spin optically pumped to |down>, so one cycle is a
 fixed CPTP map on the boson density matrix rho_m.  Every stage is
@@ -112,15 +113,15 @@ class Trajectory:
     nbar: np.ndarray        # <a^dag a> after each cycle
     p_up: np.ndarray        # spin-up population before the second pump
     t_us: np.ndarray        # cycle * (tau + tau_d): time at the end of each cycle
-    n_max_used: np.ndarray
+    n_max: int              # the cutoff every kept cycle ran at
+    window: int             # the run's convergence window
     final_state: np.ndarray  # rho_m after the last cycle (spin pumped to |down>)
     converged: bool
     cycles_run: int
 
-    def steady_nbar(self, window=20):
-        """Mean phonon number over the trailing window."""
-        w = min(window, self.cycles_run)
-        return float(np.mean(self.nbar[-w:]))
+    def steady_nbar(self):
+        """Mean phonon number over the trailing convergence window."""
+        return float(np.mean(self.nbar[-self.window:]))
 
 
 def prepare_initial(config, cutoff):
@@ -177,7 +178,7 @@ class _CyclePlan:
                                       mode=config.channel_mode)
 
 
-def _run_at_cutoff(config, drive, cutoff, n_cycles, stop_on_tolerance):
+def _run_at_cutoff(config, drive, cutoff):
     try:
         state = prepare_initial(config, cutoff)
     except ValueError as exc:
@@ -188,12 +189,12 @@ def _run_at_cutoff(config, drive, cutoff, n_cycles, stop_on_tolerance):
     plan = _CyclePlan(config, drive, cutoff)
     levels = np.arange(cutoff.bdim)
 
-    nbar = np.empty(n_cycles)
-    pups = np.empty(n_cycles)
+    nbar = np.empty(config.max_cycles)
+    pups = np.empty(config.max_cycles)
     converged = False
-    ran = n_cycles
     conv = config.convergence
-    for i in range(n_cycles):
+    tolerance = conv.mode == "tolerance"
+    for i in range(config.max_cycles):
         state, pups[i] = plan.cooling.apply(plan.drive(state))
         pops = fs.populations(state)
         if fs.tail_mass(pops, k_check) > config.cutoff.eps:
@@ -201,60 +202,41 @@ def _run_at_cutoff(config, drive, cutoff, n_cycles, stop_on_tolerance):
         if config.debug_validate:
             fs.check_density_matrix(fs.from_blocks(state))
         nbar[i] = fs.expectation(pops, levels)
-        if stop_on_tolerance and i + 1 >= conv.window:
+        if tolerance and i + 1 >= conv.window:
             tail = nbar[i + 1 - conv.window:i + 1]
             if tail.max() - tail.min() < conv.tol:
                 converged = True
-                ran = i + 1
                 break
 
-    n = ran
+    n = i + 1
     cycle = np.arange(1, n + 1)
     return Trajectory(cycle=cycle, nbar=nbar[:n], p_up=pups[:n],
                       t_us=cycle * (drive.tau + config.cool.tau_d),
-                      n_max_used=np.full(n, cutoff.n_max, dtype=int),
+                      n_max=cutoff.n_max, window=conv.window,
                       final_state=fs.from_blocks(state), converged=converged,
                       cycles_run=n)
 
 
-def _run(config, n_cycles, stop_on_tolerance):
+def run(config):
+    """Run config.max_cycles cycles; in tolerance mode, stop once the
+    trailing-window spread of <a^dag a> drops below tol.
+
+    A truncation tail above eps restarts the run from cycle 0 at a larger
+    cutoff.  Non-convergence within max_cycles is reported via
+    Trajectory.converged, not raised.
+    """
     drive = _jittered_drive(config)
     policy = config.cutoff
     n_max = policy.n_max
     while True:
         try:
-            return _run_at_cutoff(config, drive, FockCutoff(n_max),
-                                  n_cycles, stop_on_tolerance)
+            return _run_at_cutoff(config, drive, FockCutoff(n_max))
         except _CutoffOverflow:
             if n_max >= policy.ceiling:
                 raise SimulationDiverged(
                     f"diverging phonon number: cutoff ceiling {policy.ceiling} "
                     "reached with truncation tail above eps")
             n_max = min(int(np.ceil(n_max * policy.growth)), policy.ceiling)
-
-
-def run_cycles(config, n_cycles=None):
-    """Run a fixed number of cycles (default config.max_cycles)."""
-    n = n_cycles if n_cycles is not None else config.max_cycles
-    if n < 1:
-        raise ValueError("n_cycles must be >= 1")
-    return _run(config, n, stop_on_tolerance=False)
-
-
-def run_to_convergence(config):
-    """Run until the trailing-window spread of <a^dag a> drops below tol.
-
-    Non-convergence within max_cycles is reported via Trajectory.converged,
-    not raised.
-    """
-    return _run(config, config.max_cycles, stop_on_tolerance=True)
-
-
-def run(config):
-    """Dispatch on the configured convergence mode."""
-    if config.convergence.mode == "tolerance":
-        return run_to_convergence(config)
-    return run_cycles(config)
 
 
 def config_with_coupling(config, g):

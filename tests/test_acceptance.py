@@ -15,7 +15,7 @@ from iondpt import fockspace as fs
 from iondpt.model import DriveParams, CoolParams, khz
 from iondpt.channels import NoiseParams, make_noise_jumps, lindblad_step
 from iondpt.protocol import (ExperimentConfig, InitialState, Convergence,
-                             CutoffPolicy, run_cycles, run_to_convergence)
+                             CutoffPolicy, run)
 from iondpt.probe import measure_nbar
 from iondpt.analysis import (FitError, g_scan, r_scan, cooling_scan,
                              extrapolate_saturation, fit_exponential_saturation,
@@ -51,8 +51,8 @@ def relaxation_runs():
     base = ExperimentConfig(drive=DRIVE_R25, cool=COOL_13,
                             initial=InitialState(kind="thermal", nbar=5.0),
                             channel_mode="exact", max_cycles=200)
-    thermal = run_cycles(base)
-    ground = run_cycles(replace(base, initial=InitialState(kind="ground")))
+    thermal = run(base)
+    ground = run(replace(base, initial=InitialState(kind="ground")))
     return {"thermal": thermal, "ground": ground}
 
 
@@ -226,7 +226,7 @@ def test_criterion_12_property_suite(composite_reference):
         noise=NoiseParams.from_per_second(heating_per_s=50.0,
                                           dephasing_per_s=200.0,
                                           recoil_enabled=True))
-    run_cycles(noisy)  # raises on any validity violation
+    run(noisy)  # raises on any validity violation
     checks.append(("validity", True))
 
     # analytic damping and dephasing oracles to 1e-4
@@ -257,8 +257,8 @@ def test_criterion_12_property_suite(composite_reference):
                 initial=InitialState(kind="thermal", nbar=1.0),
                 channel_mode=mode, max_cycles=4,
                 cutoff=CutoffPolicy(n_max=24))
-            traj = run_cycles(cfg)
-            cut = fs.FockCutoff(int(traj.n_max_used[-1]))
+            traj = run(cfg)
+            cut = fs.FockCutoff(traj.n_max)
             for t0 in (0.0, 77.0):
                 ref = composite_reference(cfg, cut, 4, t0)
                 origin_ok &= bool(np.abs(ref - traj.nbar).max() <= 1e-12)
@@ -270,7 +270,7 @@ def test_criterion_12_property_suite(composite_reference):
         cool=CoolParams.from_khz(0.0, 5.0, 13.0),
         initial=InitialState(kind="thermal", nbar=3.0),
         channel_mode="exact", max_cycles=15)
-    traj_q = run_cycles(quiet)
+    traj_q = run(quiet)
     checks.append(("frame bookkeeping invariance",
                    bool(np.abs(traj_q.nbar - traj_q.nbar[0]).max() < 1e-12)))
 
@@ -278,7 +278,7 @@ def test_criterion_12_property_suite(composite_reference):
     cfg = ExperimentConfig(drive=DRIVE_R25, cool=COOL_13,
                            initial=InitialState(kind="thermal", nbar=2.0),
                            channel_mode="exact", max_cycles=15)
-    t1, t2 = run_cycles(cfg), run_cycles(cfg)
+    t1, t2 = run(cfg), run(cfg)
     checks.append(("determinism",
                    t1.nbar.tobytes() == t2.nbar.tobytes()
                    and t1.final_state.tobytes() == t2.final_state.tobytes()))

@@ -529,7 +529,7 @@ def test_split_step_slice_error(monkeypatch):
     """Pins the Strang splitting error of the 0.5 us slice on a short noisy
     exact-channel run against 0.05 us slices."""
     from iondpt.protocol import (ExperimentConfig, InitialState, CutoffPolicy,
-                                 config_with_coupling, run_cycles)
+                                 config_with_coupling, run)
     cfg = config_with_coupling(ExperimentConfig(
         drive=DriveParams.from_khz(51.0, 49.0, 10.0, 20.0), cool=COOL,
         noise=NoiseParams.from_per_second(heating_per_s=50.0,
@@ -537,8 +537,8 @@ def test_split_step_slice_error(monkeypatch):
                                           recoil_enabled=True),
         initial=InitialState(kind="thermal", nbar=1.0), max_cycles=8,
         cutoff=CutoffPolicy(n_max=16, eps=1e-2)), 1.3)
-    coarse = run_cycles(cfg).nbar
+    coarse = run(cfg).nbar
     monkeypatch.setattr(ch, "SLICE_US", 0.05)
-    fine = run_cycles(cfg).nbar
+    fine = run(cfg).nbar
     error = np.abs(coarse - fine).max()
     assert 3e-7 < error < 1.2e-6   # 5.6e-7 measured

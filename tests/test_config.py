@@ -150,7 +150,7 @@ def test_scan_spec_variants():
     c_tree = minimal_tree(scan={"axis": "cooling", "values": [0.8, 1.2],
                                 "omega_c_khz": [10.0, 20.0]})
     spec = scan_spec(c_tree)
-    assert spec["omega_c_khz"] == [10.0, 20.0]
+    assert spec["omega_c"] == [khz(10.0), khz(20.0)]
 
     with pytest.raises(ConfigError, match="axis"):
         scan_spec(minimal_tree(scan={"axis": "tau"}))

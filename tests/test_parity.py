@@ -11,8 +11,7 @@ from iondpt.channels import NoiseParams
 from iondpt.fockspace import FockCutoff
 from iondpt.model import CoolParams, DriveParams, derive
 from iondpt.protocol import (CutoffPolicy, ExperimentConfig, InitialState,
-                             _jittered_drive, config_with_coupling,
-                             run_cycles)
+                             _jittered_drive, config_with_coupling, run)
 
 import helpers
 from conftest import composite_cycles
@@ -81,8 +80,8 @@ def test_engine_matches_composite_reference(mode, noise):
     """The parity-block engine against the composite reference over 50
     cycles: nbar and p_up per cycle and the reassembled final rho_m."""
     cfg = parity_config(mode, noise, 50)
-    traj = run_cycles(cfg)
-    assert np.all(traj.n_max_used == 20)
+    traj = run(cfg)
+    assert traj.n_max == 20
     nbar, pup, rho = composite_cycles(cfg, FockCutoff(20), 50, 0.0)
     assert np.abs(traj.nbar - nbar).max() <= 1e-12
     assert np.abs(traj.p_up - pup).max() <= 1e-12

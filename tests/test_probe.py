@@ -211,7 +211,7 @@ def test_measure_nbar_cannot_fit_the_top_level():
     """The probe never flops level n_max, so a k_max of n_max fits as
     n_max - 1 does and warns about the tail it cannot see."""
     rho = thermal_state(2.0, FockCutoff(12), eps=1e-2)
-    assert pr.default_k_max(rho, cap=40) == 11
+    assert pr.default_k_max(rho) == 11
     fits = {}
     for k_max in (12, 11):
         with pytest.warns(RuntimeWarning, match=r"k_max=11 drops 0\.031 tail"):

@@ -8,8 +8,7 @@ from iondpt.model import DriveParams, CoolParams, derive
 from iondpt.channels import NoiseParams, unitary_propagator
 from iondpt.protocol import (ExperimentConfig, InitialState, Convergence,
                              CutoffPolicy, SimulationDiverged, prepare_initial,
-                             run, run_cycles, run_to_convergence,
-                             config_with_coupling, config_with_ratio,
+                             run, config_with_coupling, config_with_ratio,
                              _CyclePlan)
 
 from helpers import h_qrm, on_parity_blocks
@@ -59,7 +58,7 @@ def test_prepare_initial():
 
 def test_no_drive_stays_in_vacuum():
     d0 = DriveParams.from_khz(26.0, 24.0, 0.0, 20.0)
-    traj = run_cycles(make_config(drive=d0, max_cycles=20))
+    traj = run(make_config(drive=d0, max_cycles=20))
     assert np.all(traj.nbar < 1e-12)
     assert np.all(traj.p_up < 1e-12)
 
@@ -70,12 +69,12 @@ def test_zero_coupling_zero_cooling_invariance():
     c0 = CoolParams.from_khz(0.0, 5.0, 13.0)
     cfg = make_config(drive=d0, cool=c0, max_cycles=25,
                       initial=InitialState(kind="thermal", nbar=3.0))
-    traj = run_cycles(cfg)
+    traj = run(cfg)
     assert np.abs(traj.nbar - traj.nbar[0]).max() < 1e-12
 
 
 def test_wall_clock_increments():
-    traj = run_cycles(make_config(max_cycles=10))
+    traj = run(make_config(max_cycles=10))
     dt = np.diff(traj.t_us)
     assert np.allclose(dt, DRIVE.tau + COOL.tau_d)
     assert traj.t_us[0] == pytest.approx(DRIVE.tau + COOL.tau_d)
@@ -84,8 +83,8 @@ def test_wall_clock_increments():
 def test_determinism_bitwise():
     cfg = make_config(initial=InitialState(kind="thermal", nbar=2.0),
                       max_cycles=15)
-    t1 = run_cycles(cfg)
-    t2 = run_cycles(cfg)
+    t1 = run(cfg)
+    t2 = run(cfg)
     assert np.array_equal(t1.nbar, t2.nbar)
     assert np.array_equal(t1.p_up, t2.p_up)
     assert np.array_equal(t1.final_state, t2.final_state)
@@ -96,7 +95,7 @@ def test_tolerance_convergence_trivial():
     cfg = make_config(drive=d0, max_cycles=100,
                       convergence=Convergence(mode="tolerance", tol=0.05,
                                               window=5))
-    traj = run_to_convergence(cfg)
+    traj = run(cfg)
     assert traj.converged
     assert traj.cycles_run == 5  # first full window
 
@@ -118,9 +117,18 @@ def test_initial_state_independence_cheap():
     cfg_g = make_config(max_cycles=200, convergence=conv)
     cfg_t = make_config(max_cycles=200, convergence=conv,
                         initial=InitialState(kind="thermal", nbar=5.0))
-    n_g = run_to_convergence(cfg_g).steady_nbar()
-    n_t = run_to_convergence(cfg_t).steady_nbar()
+    n_g = run(cfg_g).steady_nbar()
+    n_t = run(cfg_t).steady_nbar()
     assert abs(n_g - n_t) < 2 * conv.tol
+
+
+def test_steady_nbar_reads_the_run_window():
+    # a relaxing fixed-mode run: the last 7 and the last 20 cycles differ
+    cfg = make_config(initial=InitialState(kind="thermal", nbar=5.0),
+                      convergence=Convergence(window=7))
+    traj = run(cfg)
+    assert traj.steady_nbar() == np.mean(traj.nbar[-7:])
+    assert abs(np.mean(traj.nbar[-20:]) - traj.steady_nbar()) > 1e-3
 
 
 def test_cutoff_escalation():
@@ -128,8 +136,8 @@ def test_cutoff_escalation():
                       max_cycles=5,
                       cutoff=CutoffPolicy(n_max=5, eps=5e-4, growth=1.5,
                                           ceiling=200))
-    traj = run_cycles(cfg)
-    assert traj.n_max_used[-1] > 5  # escalated past the inadequate start
+    traj = run(cfg)
+    assert traj.n_max > 5  # escalated past the inadequate start
 
 
 def test_divergence_reported():
@@ -138,7 +146,7 @@ def test_divergence_reported():
                       cutoff=CutoffPolicy(n_max=5, eps=5e-4, growth=1.5,
                                           ceiling=6))
     with pytest.raises(SimulationDiverged):
-        run_cycles(cfg)
+        run(cfg)
 
 
 def test_config_with_coupling():
@@ -161,17 +169,17 @@ def test_config_with_ratio():
 
 def test_jitter_changes_drive_deterministically():
     cfg = make_config(jitter_sigma=0.01, seed=42, max_cycles=3)
-    t1 = run_cycles(cfg)
-    t2 = run_cycles(cfg)
+    t1 = run(cfg)
+    t2 = run(cfg)
     assert np.array_equal(t1.nbar, t2.nbar)
-    t3 = run_cycles(replace(cfg, seed=43))
+    t3 = run(replace(cfg, seed=43))
     assert not np.array_equal(t1.nbar, t3.nbar)
 
 
 def test_trajectory_validity_during_run():
     cfg = make_config(max_cycles=8, debug_validate=True,
                       initial=InitialState(kind="thermal", nbar=2.0))
-    traj = run_cycles(cfg)  # raises StateValidityError on violation
+    traj = run(cfg)  # raises StateValidityError on violation
     assert np.all(traj.nbar >= 0)
 
 
@@ -192,8 +200,8 @@ def test_wall_clock_origin_invariance(mode, noisy, composite_reference):
                       noise=NOISE if noisy else NoiseParams(),
                       initial=InitialState(kind="thermal", nbar=1.0),
                       cutoff=CutoffPolicy(n_max=24))
-    traj = run_cycles(cfg)
-    cut = FockCutoff(int(traj.n_max_used[-1]))
+    traj = run(cfg)
+    cut = FockCutoff(traj.n_max)
     for t0 in (0.0, 137.5, 2.5e4):
         ref = composite_reference(cfg, cut, 6, t0)
         assert np.abs(ref - traj.nbar).max() <= 1e-12
