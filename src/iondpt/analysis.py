@@ -3,8 +3,11 @@ exponential saturation, saturation extrapolation, critical power law and
 log-log slopes.  A scan reads each point's nbar out directly, or through
 the probe emulation when given a probe.ProbeParams."""
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, replace
+from functools import cache
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -76,12 +79,76 @@ def _point_configs(make, values, probe, axis=True):
         raise ConfigError(f"scan: {exc}") from exc
 
 
+@cache
+def _openblas():
+    """(file name, get, set) of the thread-count functions of each OpenBLAS
+    copy loaded in this process: numpy's libscipy_openblas64_ and scipy's
+    libscipy_openblas.  Empty where no copy exposes them."""
+    import ctypes
+    import scipy.linalg  # noqa: F401  loads scipy's copy next to numpy's
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((os.path.basename(path), get, set_))
+                break
+    return tuple(found)
+
+
+def blas_threads():
+    """{file name: thread count} of each OpenBLAS copy in this process."""
+    return {name: get() for name, get, _ in _openblas()}
+
+
+def _pin_blas():
+    """Set every OpenBLAS copy to one thread; a pool worker's initializer."""
+    for _, _, set_ in _openblas():
+        set_(1)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every OpenBLAS copy in this process on one thread,
+    then restore the counts found on entry; does nothing where no copy
+    exposes them.  Every matrix here is at most a few hundred wide, where
+    BLAS threads cost more than they save, and one thread makes the
+    results independent of the host's core count."""
+    libs = _openblas()
+    saved = [get() for _, get, _ in libs]
+    _pin_blas()
+    try:
+        yield
+    finally:
+        for (_, _, set_), count in zip(libs, saved):
+            set_(count)
+
+
+def pool_size(threads, n_jobs):
+    """Worker processes a scan of n_jobs points runs in; 1 means serial."""
+    return max(1, min(threads or 1, n_jobs))
+
+
 def _dispatch(jobs, threads):
-    """Steady-state point per (config, probe) job."""
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    """Steady-state point per (config, probe) job, serially or in a pool of
+    pool_size(threads, len(jobs)) workers, on one BLAS thread either way."""
+    workers = pool_size(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_pin_blas) as pool:
             return list(pool.map(_steady_point, jobs))
-    return [_steady_point(j) for j in jobs]
+    with one_blas_thread():
+        return [_steady_point(j) for j in jobs]
 
 
 def _collect(axis, values, rows, label=""):

@@ -14,6 +14,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import analysis, probe
@@ -44,6 +45,9 @@ def _write_json(path, data, **kw):
 def _write_manifest(out_dir, stem, tree, seed, started, outputs, **extra):
     manifest = {
         "version": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "openblas_threads": analysis.blas_threads(),
         "config": tree,
         "seed": seed,
         **extra,
@@ -134,8 +138,10 @@ def cmd_scan(args):
         outputs[f"scan{i}" if len(scans) > 1 else "scan"] = path
         label = f" [{scan.label}]" if scan.label else ""
         print(f"wrote {path}{label}")
-    manifest = _write_manifest(args.out_dir, stem, tree, config.seed, started,
-                               outputs, readout=readout)
+    manifest = _write_manifest(
+        args.out_dir, stem, tree, config.seed, started, outputs,
+        readout=readout, processes=analysis.pool_size(threads,
+                                                      len(spec["values"])))
     print(f"wrote {manifest}")
     return 0
 
@@ -271,7 +277,8 @@ def main(argv=None):
     if getattr(args, "out_dir", None):
         os.makedirs(args.out_dir, exist_ok=True)
     try:
-        return args.func(args)
+        with analysis.one_blas_thread():
+            return args.func(args)
     except ConfigError as exc:
         message, code = str(exc), EXIT_CONFIG
     except SimulationDiverged as exc:

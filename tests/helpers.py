@@ -1,6 +1,10 @@
 """Composite-space helpers that only the tests use: the spin (x) boson
 space, its Hamiltonians from Kronecker products, the independent
-references for the parity-sector pairs of iondpt.model, and its states."""
+references for the parity-sector pairs of iondpt.model, and its states;
+plus the environment of a test's fresh interpreter."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -150,3 +154,11 @@ def composite_split_step(H, jumps, t, rho):
     for _ in range(n_slices):
         rho = u @ dissipate(u @ rho @ u.conj().T) @ u.conj().T
     return rho
+
+
+def subprocess_env(**variables):
+    """os.environ plus variables, with the src/ that iondpt is imported from
+    first on PYTHONPATH, for a fresh interpreter that imports iondpt."""
+    src = str(Path(ch.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)

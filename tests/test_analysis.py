@@ -1,5 +1,11 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+from helpers import subprocess_env
 
 from iondpt.model import DriveParams, CoolParams
 from iondpt.probe import ProbeParams
@@ -50,6 +56,71 @@ def test_scan_parallel_matches_serial():
     serial = g_scan(cfg, gs, threads=1)
     parallel = g_scan(cfg, gs, threads=2)
     assert np.array_equal(serial.nbar, parallel.nbar)
+
+
+def test_scan_pool_never_outnumbers_its_points(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(an, "ProcessPoolExecutor", no_pool)
+    scan = g_scan(small_config(max_cycles=10), [1.0], threads=4)
+    assert scan.nbar.size == 1
+    assert an.pool_size(8, 2) == 2 and an.pool_size(None, 5) == 1
+
+
+needs_blas = pytest.mark.skipif(
+    not an._openblas(), reason="no loaded OpenBLAS exposes its thread count")
+
+
+def blas_thread_point(job):
+    """Stands in for analysis._steady_point: the point's nbar is the largest
+    thread count of any OpenBLAS copy while it runs."""
+    return dict(nbar=float(max(an.blas_threads().values())), sigma=np.nan,
+                converged=True, cycles=0, n_max=0)
+
+
+@needs_blas
+@pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
+def test_scan_points_run_on_one_blas_thread(monkeypatch, threads):
+    # the fork start method carries the patch into the pool's workers
+    monkeypatch.setattr(an, "_steady_point", blas_thread_point)
+    caller = an.blas_threads()
+    for _, _, set_ in an._openblas():
+        set_(2)
+    try:
+        scan = g_scan(small_config(), [0.8, 1.2], threads=threads)
+        assert np.all(scan.nbar == 1)
+        assert set(an.blas_threads().values()) == {2}
+    finally:
+        for name, _, set_ in an._openblas():
+            set_(caller[name])
+
+
+IMPORT_BLAS_THREADS = """\
+import ctypes, json, numpy.linalg, scipy.linalg
+getters = [(numpy.linalg._umath_linalg, "scipy_openblas_get_num_threads64_"),
+           (scipy.linalg._fblas, "scipy_openblas_get_num_threads")]
+try:
+    getters = [getattr(ctypes.CDLL(m.__file__), name) for m, name in getters]
+except AttributeError:
+    print("null")
+    raise SystemExit
+before = [get() for get in getters]
+import iondpt, iondpt.cli
+print(json.dumps([before, [get() for get in getters]]))
+"""
+
+
+def test_import_leaves_blas_threads():
+    out = subprocess.run([sys.executable, "-c", IMPORT_BLAS_THREADS],
+                         env=subprocess_env(OPENBLAS_NUM_THREADS="2"),
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    counts = json.loads(out)
+    if counts is None:
+        pytest.skip("no loaded OpenBLAS exposes its thread count")
+    before, after = counts
+    assert after == before
 
 
 def test_r_scan_labels_and_axis():

@@ -1,12 +1,16 @@
 import csv
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
+from helpers import subprocess_env
 from iondpt import analysis, cli
 from iondpt.cli import main
 
@@ -55,6 +59,10 @@ def test_run_outputs_and_manifest(base_config, tmp_path):
     digest = hashlib.sha256(traj_csv.read_bytes()).hexdigest()
     assert meta["outputs"]["trajectory"]["sha256"] == digest
     assert meta["seed"] == 0
+    assert (meta["numpy"], meta["scipy"]) == (np.__version__, scipy.__version__)
+    # read inside the command, which runs every OpenBLAS copy on one thread
+    assert meta["openblas_threads"].keys() == analysis.blas_threads().keys()
+    assert set(meta["openblas_threads"].values()) <= {1}
     assert (out / "base_relaxation.json").is_file()
 
 
@@ -289,6 +297,29 @@ def test_bad_setting_rejected_before_any_cycle(tmp_path, monkeypatch, capsys,
     assert main(command + ["--config", str(cfg),
                            "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_scan_probe_bytes_independent_of_threads(tmp_path):
+    cfg = tmp_path / "scan.yaml"
+    cfg.write_text(BASE_YAML.replace("max: 40", "max: 20") + G_SCAN
+                   + "probe:\n  shots: 1000\n")
+
+    def scan(threads, name):
+        return ["scan", "--probe", "--threads", threads, "--config", str(cfg),
+                "--out-dir", str(tmp_path / name)]
+
+    assert main(scan("1", "serial")) == 0
+    assert main(scan("2", "pool")) == 0
+    subprocess.run([sys.executable, "-m", "iondpt.cli", *scan("1", "env")],
+                   env=subprocess_env(OPENBLAS_NUM_THREADS="2"), check=True,
+                   capture_output=True, timeout=300)
+    first = (tmp_path / "serial" / "scan_scan.csv").read_bytes()
+    for name in ("pool", "env"):
+        assert (tmp_path / name / "scan_scan.csv").read_bytes() == first
+    processes = [json.loads((tmp_path / name / "scan_manifest.json")
+                            .read_text())["processes"]
+                 for name in ("serial", "pool")]
+    assert processes == [1, 2]
 
 
 def test_scan_probe_on_cooling_axis(tmp_path):
