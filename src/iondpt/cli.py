@@ -17,7 +17,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from . import analysis, probe
+from . import analysis, channels, probe
 from .config import (ConfigError, load_tree, experiment_from_tree, scan_spec,
                      probe_spec)
 from .protocol import SimulationDiverged, run
@@ -48,6 +48,9 @@ def _write_manifest(out_dir, stem, tree, seed, started, outputs, **extra):
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "openblas_threads": analysis.blas_threads(),
+        # the integrator of the noisy stages, which their outputs depend on
+        "split_step": {"slice_us": channels.SLICE_US,
+                       "gauss_nodes": len(channels.GAUSS_NODES)},
         "config": tree,
         "seed": seed,
         **extra,

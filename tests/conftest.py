@@ -28,7 +28,7 @@ def composite_cycles(config, cutoff, n_cycles, t0, chain=True):
     pulse run the engine's parity-chain step on the parity blocks of the
     pumped boson state and re-embed the output in |down>, so the
     comparison tests the frame phases and not the integrator's rounding.
-    Without it they run the same Strang split step on the whole composite
+    Without it they run the same two-node split step on the whole composite
     space (helpers.composite_split_step), and no map assumes that rho_m
     has no odd offsets.  Each drive and pulse returns the state and p_up.
     """

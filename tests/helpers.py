@@ -144,15 +144,22 @@ def on_spin_blocks(apply):
 
 
 def composite_split_step(H, jumps, t, rho):
-    """The Strang split step on the whole spin (x) boson space: dense 2b
-    unitary halves of exp(-iH dt/2) around the Dissipator applied to each
-    spin block, in slices of at most SLICE_US.  H need not conserve
-    parity; the reference for the parity-chain SplitStepPropagator."""
+    """The two-node split step on the whole spin (x) boson space: in
+    slices dt of at most SLICE_US, dense 2b unitaries of exp(-iH x dt)
+    for x = x1, x2 - x1, 1 - x2 around the Dissipator over dt/2 on each
+    spin block, at the GAUSS_NODES x1, x2, nothing merged.  H need not
+    conserve parity; the reference for the parity-chain
+    SplitStepPropagator."""
     n_slices = max(1, int(np.ceil(t / ch.SLICE_US)))
-    u = ch.unitary_propagator(H, t / n_slices / 2.0)
-    dissipate = on_spin_blocks(ch.Dissipator(jumps, t / n_slices).apply)
+    dt = t / n_slices
+    x1, x2 = ch.GAUSS_NODES
+    edge, mid, last = (ch.unitary_propagator(H, x * dt)
+                       for x in (x1, x2 - x1, 1 - x2))
+    dissipate = on_spin_blocks(ch.Dissipator(jumps, dt / 2).apply)
     for _ in range(n_slices):
-        rho = u @ dissipate(u @ rho @ u.conj().T) @ u.conj().T
+        rho = dissipate(edge @ rho @ edge.conj().T)
+        rho = dissipate(mid @ rho @ mid.conj().T)
+        rho = last @ rho @ last.conj().T
     return rho
 
 

@@ -63,6 +63,7 @@ def test_run_outputs_and_manifest(base_config, tmp_path):
     # read inside the command, which runs every OpenBLAS copy on one thread
     assert meta["openblas_threads"].keys() == analysis.blas_threads().keys()
     assert set(meta["openblas_threads"].values()) <= {1}
+    assert meta["split_step"] == {"slice_us": 2.0, "gauss_nodes": 2}
     assert (out / "base_relaxation.json").is_file()
 
 
