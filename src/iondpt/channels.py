@@ -282,24 +282,22 @@ class SplitStepPropagator:
         return to_blocks(out[0] + out[1]), float(pup.real)
 
 
-def pulse_kraus(theta, cutoff, phase):
-    """Weights (keep, move, up) for apply_kraus of the noise-free exact
-    cooling pulse followed by the free evolution, phase[n] = exp(-i phi n).
+def pulse_kraus(theta, cutoff):
+    """Real weights (keep, move, up) for apply_kraus of the noise-free
+    exact cooling pulse.
 
     The spin enters in |down> and is pumped back to |down> afterwards, so a
     pulse of area theta = Omega_c tau_c / 2 acts on rho_m alone through the
     Kraus pair cos(theta sqrt n) and sin(theta sqrt n)|n-1><n|, the
     resonant red-sideband rotation of |down, n> into |up, n-1>.  keep and
-    move are the parity blocks of w w^dag for w = phase cos(theta sqrt n),
-    which keeps level n, and w[n] = phase[n] sin(theta sqrt(n+1)), which
-    takes level n+1 to n; up = sin^2(theta sqrt n) weighs the populations
-    into p_up.
+    move are the parity blocks of w w^T for w = cos(theta sqrt n), which
+    keeps level n, and w[n] = sin(theta sqrt(n+1)), which takes level n+1
+    to n; up = sin^2(theta sqrt n) weighs the populations into p_up.
     """
     root_n = np.sqrt(np.arange(cutoff.bdim))
     c, s = np.cos(theta * root_n), np.sin(theta * root_n)
-    keep = c * phase
-    move = np.append(s[1:], 0.0) * phase
-    return (*(to_blocks(np.outer(w, w.conj())) for w in (keep, move)), s**2)
+    return (*(to_blocks(np.outer(w, w)) for w in (c, np.append(s[1:], 0.0))),
+            s**2)
 
 
 def apply_kraus(kraus, state):
@@ -352,42 +350,39 @@ class CoolingChannel:
 
     Sequence: red-sideband pulse for tau_c on |down> (x) rho_m -> record the
     spin-up population -> pump the spin back to |down> -> optional recoil
-    kick -> noise for the remaining tau_d - tau_c -> free evolution
-    exp(-i omega_f n tau_d).  The exact pulse is the Kraus pair of
-    pulse_kraus, or with noise a SplitStepPropagator on the parity
-    sectors.  The linearized pulse, the jump sqrt(theta^2/tau_c) a plus the
-    noise, and the idle noise are each one Dissipator; without noise the
-    pulse is bosonic amplitude damping, eta = exp(-theta^2) (Chuang, Leung
-    & Yamamoto, PRA 56, 1114 (1997)).
+    kick -> noise for the remaining tau_d - tau_c.  The exact pulse is the
+    Kraus pair of pulse_kraus, or with noise a SplitStepPropagator on the
+    parity sectors.  The linearized pulse, the jump sqrt(theta^2/tau_c) a
+    plus the noise, and the idle noise are each one Dissipator; without
+    noise the pulse is bosonic amplitude damping, eta = exp(-theta^2)
+    (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).
 
-    The stage needs no wall clock: the free evolution and every noise term
-    are covariant under exp(-i phi n), so the interaction-frame phases of
-    the drive and cooling pictures cancel once the spin is pumped.  For the
-    same reason the Kraus pulse takes the free evolution into its weights.
+    The stage needs no wall clock and no drive: every part of it is
+    covariant under exp(-i phi n), so the interaction-frame phases of the
+    drive and cooling pictures cancel once the spin is pumped, and the free
+    evolution exp(-i omega_f n tau_d) of the cycle's cooling window belongs
+    to the drive (protocol._CyclePlan).  The split-step pulse looks up
+    SplitStepPropagator.apply at call time, so that a stage built before a
+    tracer wraps that class still reports through it.
     """
 
-    def __init__(self, cool, derived, cutoff, noise=None, mode="exact"):
+    def __init__(self, cool, cutoff, noise=None, mode="exact"):
         if mode not in CHANNEL_MODES:
             raise ValueError(f"unknown channel mode {mode!r}")
         self.noise = noise if noise is not None else NoiseParams()
         noise_jumps = make_noise_jumps(self.noise, cutoff)
         # only the exact pulses report the p_up that sets the recoil kick
         exact = mode == "exact" and (cool.omega_c > 0 or not noise_jumps)
-
-        # free evolution; H0's constant -omega_a/2 on |down, n> cancels in rho_m
-        phase = np.exp(-1j * derived.omega_f * np.arange(cutoff.bdim)
-                       * cool.tau_d)
-        fused = exact and not noise_jumps
-        self._phase = None if fused else to_blocks(np.outer(phase, phase.conj()))
-        if fused:
-            kraus = pulse_kraus(0.5 * cool.omega_c * cool.tau_c, cutoff, phase)
+        if exact and not noise_jumps:
+            kraus = pulse_kraus(0.5 * cool.omega_c * cool.tau_c, cutoff)
             up = kraus[2]
             self._pulse = lambda state: (apply_kraus(kraus, state),
                                          float(up @ populations(state).real))
         elif exact:
-            self._pulse = SplitStepPropagator(
-                h_red_sideband(cool.omega_c, cutoff), noise_jumps,
-                cool.tau_c).apply
+            split = SplitStepPropagator(h_red_sideband(cool.omega_c, cutoff),
+                                        noise_jumps, cool.tau_c)
+            # not split.apply, bound now: see the class docstring
+            self._pulse = lambda state: split.apply(state)
         else:
             # the linearized pulse; at omega_c = 0 also the noisy exact one
             a, _, _ = build_boson_ops(cutoff)
@@ -408,6 +403,4 @@ class CoolingChannel:
             state = recoil_kick(state, pup, self.noise, self._diffusion)
         if self._idle is not None:
             state = self._idle(state)
-        if self._phase is not None:
-            state = state * self._phase
         return state, pup

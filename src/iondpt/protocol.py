@@ -3,10 +3,14 @@ dissipate cycles on the boson state, convergence detection, adaptive cutoff
 escalation.
 
 Every cycle ends with the spin optically pumped to |down>, so one cycle is a
-fixed CPTP map on the boson density matrix rho_m.  Every stage is
-phase-covariant, so rho_m has no odd offsets: the state carried from cycle
-to cycle is its parity blocks (fockspace.to_blocks).
+fixed CPTP map on the boson density matrix rho_m: the drive, which ends with
+the free evolution of the cooling window, then the cooling stage, which does
+not depend on the drive, so that the points of a scan can share it.  Every
+stage is phase-covariant, so rho_m has no odd offsets: the state carried
+from cycle to cycle is its parity blocks (fockspace.to_blocks).
 """
+
+import functools
 
 import numpy as np
 from dataclasses import dataclass, field, replace
@@ -141,25 +145,40 @@ def _jittered_drive(config):
                        d.omega_sb, d.tau)
 
 
+@functools.lru_cache(maxsize=1)
+def _cooling_stage(cool, cutoff, noise, mode):
+    """The last plan's cooling stage, kept for the next: a scan's points
+    differ only in the drive.  A point that escalates its cutoff evicts it."""
+    return CoolingChannel(cool, cutoff, noise=noise, mode=mode)
+
+
 class _CyclePlan:
-    """Per-run cache of the cycle's stage maps at a fixed cutoff."""
+    """The cycle's stage maps at a fixed cutoff: the run's drive for tau
+    followed by the free evolution exp(-i omega_f n tau_d), and the
+    drive-independent cooling stage from _cooling_stage."""
 
     def __init__(self, config, drive, cutoff):
         derived = derive(drive)
         H = h_qrm(derived, cutoff)
+        # free evolution; H0's constant -omega_a/2 on |down, n> cancels in rho_m
+        phase = np.exp(-1j * derived.omega_f * np.arange(cutoff.bdim)
+                       * config.cool.tau_d)
         noise_jumps = make_noise_jumps(config.noise, cutoff)
         if noise_jumps:
             prop = SplitStepPropagator(H, noise_jumps, drive.tau)
-            self.drive = lambda rho_m: prop.apply(rho_m)[0]
+            phases = fs.to_blocks(np.outer(phase, phase.conj()))
+            self.drive = lambda rho_m: prop.apply(rho_m)[0] * phases
         else:
-            # rho_m -> Tr_spin U (|down><down| (x) rho_m) U^dag per parity
-            # sector.  |down, n> sits in sector n % 2, so block p maps through
-            # the columns U[p][:, p::2], whose rows of parity r land in block
-            # r after the spin trace: w holds them, even rows on top.
+            # rho_m -> P Tr_spin U (|down><down| (x) rho_m) U^dag P^dag per
+            # parity sector, P the free evolution.  |down, n> sits in sector
+            # n % 2, so block p maps through the columns U[p][:, p::2], whose
+            # rows of parity r land in block r after the spin trace: w holds
+            # them, even rows on top.
             b, h = cutoff.bdim, (cutoff.bdim + 1) // 2
             U = sector_propagators(H, drive.tau)
             rows = np.r_[0:b:2, 1:b:2]
-            w = np.hstack([U[0][rows, 0::2], U[1][rows, 1::2]])
+            w = phase[rows, None] * np.hstack([U[0][rows, 0::2],
+                                               U[1][rows, 1::2]])
             w_h = w.conj().T.copy()
             t = np.empty((b, b), dtype=complex)
 
@@ -173,9 +192,8 @@ class _CyclePlan:
                 return out
 
             self.drive = drive_map
-        self.cooling = CoolingChannel(config.cool, derived, cutoff,
-                                      noise=config.noise,
-                                      mode=config.channel_mode)
+        self.cooling = _cooling_stage(config.cool, cutoff, config.noise,
+                                      config.channel_mode)
 
 
 def _run_at_cutoff(config, drive, cutoff):
@@ -198,6 +216,7 @@ def _run_at_cutoff(config, drive, cutoff):
         state, pups[i] = plan.cooling.apply(plan.drive(state))
         pops = fs.populations(state)
         if fs.tail_mass(pops, k_check) > config.cutoff.eps:
+            _cooling_stage.cache_clear()   # free it before the next rung's
             raise _CutoffOverflow
         if config.debug_validate:
             fs.check_density_matrix(fs.from_blocks(state))

@@ -9,7 +9,7 @@ from iondpt.channels import NoiseParams, unitary_propagator
 from iondpt.protocol import (ExperimentConfig, InitialState, Convergence,
                              CutoffPolicy, SimulationDiverged, prepare_initial,
                              run, config_with_coupling, config_with_ratio,
-                             _CyclePlan)
+                             _CyclePlan, _cooling_stage, _jittered_drive)
 
 from helpers import h_qrm, on_parity_blocks
 
@@ -221,11 +221,14 @@ def test_drive_stage_trace_and_positivity(noisy):
 
 @pytest.mark.parametrize("n_max", [45, 153])
 def test_noise_free_drive_map_matches_dense_unitary(n_max):
-    """The parity-sector drive map against U_dd rho U_dd^dag +
-    U_ud rho U_ud^dag from the dense exp(-i H tau) of the whole space."""
+    """The parity-sector drive map against P (U_dd rho U_dd^dag +
+    U_ud rho U_ud^dag) P^dag from the dense exp(-i H tau) of the whole
+    space and the free evolution P = exp(-i omega_f n tau_d)."""
     cut = FockCutoff(n_max)
     b = cut.bdim
-    U = unitary_propagator(h_qrm(derive(DRIVE), cut), DRIVE.tau)
+    derived = derive(DRIVE)
+    U = unitary_propagator(h_qrm(derived, cut), DRIVE.tau)
+    P = np.exp(-1j * derived.omega_f * np.arange(b) * COOL.tau_d)
     rng = np.random.default_rng(n_max)
     m = rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b))
     rho = m @ m.conj().T
@@ -233,5 +236,70 @@ def test_noise_free_drive_map_matches_dense_unitary(n_max):
     z = (-1.0) ** np.arange(b)
     rho = 0.5 * (rho + z[:, None] * rho * z[None, :]) / np.trace(rho).real
     ref = sum(u @ rho @ u.conj().T for u in (U[:b, :b], U[b:, :b]))
+    ref = P[:, None] * ref * P.conj()[None, :]
     out = on_parity_blocks(_CyclePlan(make_config(), DRIVE, cut).drive)(rho)
     assert np.abs(out - ref).max() <= 1e-12
+
+
+def stage(cfg, n_max=12):
+    """The cooling stage that a plan of cfg takes at cutoff n_max."""
+    return _CyclePlan(cfg, _jittered_drive(cfg), FockCutoff(n_max)).cooling
+
+
+def test_scan_points_share_one_cooling_stage():
+    cfg = make_config(noise=NOISE)
+    first = stage(cfg)
+    for point in (config_with_coupling(cfg, 1.7),
+                  config_with_ratio(cfg, 50.0, g=1.3),
+                  replace(cfg, jitter_sigma=0.01, seed=3)):
+        assert stage(point) is first
+    for other in (replace(cfg, cool=CoolParams.from_khz(15.0, 5.0, 13.0)),
+                  replace(cfg, noise=NoiseParams()),
+                  replace(cfg, channel_mode="lindblad")):
+        built = stage(cfg)
+        assert stage(other) is not built
+    built = stage(cfg)
+    assert stage(cfg, n_max=13) is not built
+
+
+def test_escalation_frees_the_smaller_stage(monkeypatch):
+    """A run that escalates drops the smaller cutoff's cooling stage before
+    it builds the larger one, so the cache adds no stage to its peak."""
+    import weakref
+    from iondpt import protocol
+    alive, seen = [], []
+
+    class Stage(protocol.CoolingChannel):
+        def __init__(self, *args, **kwargs):
+            seen.append(sum(ref() is not None for ref in alive))
+            super().__init__(*args, **kwargs)
+            alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(protocol, "CoolingChannel", Stage)
+    _cooling_stage.cache_clear()
+    cfg = make_config(max_cycles=20,
+                      cutoff=CutoffPolicy(n_max=10, eps=5e-4, ceiling=200))
+    assert run(config_with_coupling(cfg, 2.2)).n_max > 10
+    assert len(seen) > 1 and seen == [0] * len(seen)
+    _cooling_stage.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["r-scan", "noisy-g-scan"])
+def test_scan_nbar_independent_of_the_stage_cache(kind):
+    """A scan reads the same nbar whether each point builds its own
+    cooling stage or takes the previous point's."""
+    from iondpt import analysis
+    if kind == "r-scan":
+        cfg = make_config(channel_mode="lindblad", max_cycles=20)
+        values = [20.0, 30.0, 50.0]
+        scan = lambda v: analysis.r_scan(cfg, v, 1.2).nbar
+    else:
+        cfg = make_config(noise=NOISE, max_cycles=6)
+        values = [0.8, 1.2]
+        scan = lambda v: analysis.g_scan(cfg, v).nbar
+    cold = []
+    for v in values:
+        _cooling_stage.cache_clear()
+        cold.extend(scan([v]))
+    # the last point left its stage in the cache
+    assert np.array_equal(scan(values), cold)

@@ -25,10 +25,10 @@ def test_install_and_uninstall(spans, tmp_path):
     tracer.uninstall()
 
 
-def test_split_step_spans_under_drive_and_cooling(spans, tmp_path):
+def _check_noisy_split_step_spans(spans, tmp_path, warm):
     """On a noisy exact run SplitStepPropagator.apply carries both the drive
     and the cooling pulse, and the tracer splits its time between them."""
-    from iondpt import analysis
+    from iondpt import analysis, protocol
     from iondpt.channels import NoiseParams
     from iondpt.model import CoolParams, DriveParams
     from iondpt.protocol import CutoffPolicy, ExperimentConfig
@@ -39,12 +39,18 @@ def test_split_step_spans_under_drive_and_cooling(spans, tmp_path):
                                           dephasing_per_s=200.0,
                                           recoil_enabled=True),
         max_cycles=2, cutoff=CutoffPolicy(n_max=12, eps=1e-2))
+    if warm:
+        analysis.run(cfg)
+    else:
+        protocol._cooling_stage.cache_clear()
     tracer = spans.install(str(tmp_path))
     try:
         analysis.run(cfg)
     finally:
         tracer.uninstall()
     recorded = tracer.collect()
+    inits = [s for s in recorded if s["name"] == "channels.CoolingChannel.init"]
+    assert len(inits) == (0 if warm else 1)
     by_id = {s["id"]: s for s in recorded}
     parents = [by_id[s["parent"]]["name"] for s in recorded
                if s["name"] == "channels.SplitStepPropagator.apply"]
@@ -53,6 +59,17 @@ def test_split_step_spans_under_drive_and_cooling(spans, tmp_path):
     metrics = spans.layer_metrics(recorded)
     assert metrics["channels.splitstep.drive_s"] > 0
     assert metrics["channels.splitstep.dissipation_s"] > 0
+
+
+def test_split_step_spans_under_drive_and_cooling(spans, tmp_path):
+    """The traced run builds its cooling stage, as the benchmark's does."""
+    _check_noisy_split_step_spans(spans, tmp_path, warm=False)
+
+
+def test_split_step_spans_from_a_stage_built_before_install(spans, tmp_path):
+    """The traced run reuses a cooling stage built before the tracer was
+    installed, and the stage's pulse still reports its spans."""
+    _check_noisy_split_step_spans(spans, tmp_path, warm=True)
 
 
 def test_noise_free_exact_run_spans(spans, tmp_path):
