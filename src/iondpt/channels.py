@@ -33,7 +33,9 @@ GAUSS_NODES = (0.5 - 3 ** 0.5 / 6, 0.5 + 3 ** 0.5 / 6)
 # 2pi x 2.35 MHz motional mode, shared over three modes:
 #   hbar k^2 / (2 m omega_m) / 3
 # with k = 2pi/369.5nm, m = 171 u.  Phonons per (absorbed photon number)^2.
-RECOIL_DN_DEFAULT = 1.212e-3
+RECOIL_DN = 1.212e-3
+PHOTONS_PER_PUMP = 3   # N_p, pump photons per spin returned to |down>
+THERMAL_NTH = 1e5      # heating-bath occupancy: splits heating into a^dag, a
 
 # CoolingChannel pulse kinds: the exact sideband pulse or the linearized
 # amplitude-damping channel
@@ -48,20 +50,15 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Decoherence rates in 1/us; recoil model for optical-pumping kicks."""
+    """The noise section: decoherence rates in 1/us, recoil kick on/off."""
 
     heating_rate: float = 0.0      # gamma * n_th product
-    thermal_nth: float = 1e5       # reservoir occupancy used to split up/down rates
     dephasing_rate: float = 0.0    # Gamma_m
     recoil_enabled: bool = False
-    photons_per_pump: int = 3      # N_p
-    recoil_dn: float = RECOIL_DN_DEFAULT
 
     def __post_init__(self):
-        if min(self.heating_rate, self.dephasing_rate, self.recoil_dn) < 0:
+        if min(self.heating_rate, self.dephasing_rate) < 0:
             raise ValueError("noise rates must be >= 0")
-        if self.thermal_nth <= 0:
-            raise ValueError("thermal_nth must be > 0")
 
     @property
     def any_decoherence(self):
@@ -80,9 +77,9 @@ def make_noise_jumps(noise, cutoff):
     a, adag, num = build_boson_ops(cutoff)
     jumps = []
     if noise.heating_rate > 0:
-        gamma = noise.heating_rate / noise.thermal_nth
+        gamma = noise.heating_rate / THERMAL_NTH
         jumps.append(np.sqrt(noise.heating_rate) * adag)
-        jumps.append(np.sqrt(gamma * (noise.thermal_nth + 1)) * a)
+        jumps.append(np.sqrt(gamma * (THERMAL_NTH + 1)) * a)
     if noise.dephasing_rate > 0:
         jumps.append(np.sqrt(2 * noise.dephasing_rate) * num)
     return jumps
@@ -248,8 +245,7 @@ class SplitStepPropagator:
     U((1 - x2) dt) D U((x2 - x1) dt) D U(x1 dt), with the outer unitaries
     merged between slices.  For jumps of strength eps its error is
     O(eps dt^4 + eps^2 dt^2), and every weight is positive, so every
-    sub-step is CPTP.  Without jumps there is no splitting, and the step
-    is one exact unitary.  apply maps the parity blocks of the pumped
+    sub-step is CPTP.  apply maps the parity blocks of the pumped
     rho_m: |down, n> sits in sector n % 2 and |up, n> in the other, so
     block p fills the spin-down positions of sector p.
     """
@@ -257,13 +253,13 @@ class SplitStepPropagator:
     def __init__(self, H, jumps, t):
         if t < 0:
             raise ValueError("t must be >= 0")
-        self.n_slices = int(np.ceil(t / SLICE_US)) if jumps else 0
-        dt = t / max(1, self.n_slices)
+        self.n_slices = max(1, int(np.ceil(t / SLICE_US)))
+        dt = t / self.n_slices
         x1, x2 = GAUSS_NODES
-        times = [x1 * dt if jumps else t, (x2 - x1) * dt, 2 * x1 * dt]
+        times = [x1 * dt, (x2 - x1) * dt, 2 * x1 * dt]
         self._edge, self._mid, self._merged = [
             (u, u.conj().swapaxes(1, 2)) for u in sector_propagators(H, times)]
-        self._dissipate = Dissipator(jumps, dt / 2).apply if jumps else None
+        self._dissipate = Dissipator(jumps, dt / 2).apply
 
     def apply(self, state):
         """(state, p_up) after the step from |down><down| (x) rho_m, for
@@ -322,19 +318,11 @@ def recoil_diffusion(cutoff):
     return np.linalg.eigh(_offset_generators([adag, a]))
 
 
-def recoil_kick(rho_m, pup, noise, diffusion):
+def recoil_kick(rho_m, dn, diffusion):
     """Incoherent heating pulse from pump-photon recoil on the boson state,
-    rho_m or its parity blocks.
-
-    Raises the mean phonon number by dn = recoil_dn * (N_p * p_up)^2: the
-    flow exp(dn G) of the unit diffusion pair {a^dag, a} (nbar grows by
-    exactly dn), from its recoil_diffusion eigendecomposition.
-    """
-    if not 0 <= pup <= 1 + 1e-9:
-        raise ValueError("p_up must lie in [0, 1]")
-    if not noise.recoil_enabled:
-        return rho_m
-    dn = noise.recoil_dn * (noise.photons_per_pump * pup) ** 2
+    rho_m or its parity blocks: the flow exp(dn G) of the unit diffusion
+    pair {a^dag, a}, which raises the mean phonon number by exactly dn,
+    from its recoil_diffusion eigendecomposition."""
     if dn == 0:
         return rho_m
     w, v = diffusion
@@ -352,10 +340,10 @@ class CoolingChannel:
     spin-up population -> pump the spin back to |down> -> optional recoil
     kick -> noise for the remaining tau_d - tau_c.  The exact pulse is the
     Kraus pair of pulse_kraus, or with noise a SplitStepPropagator on the
-    parity sectors.  The linearized pulse, the jump sqrt(theta^2/tau_c) a
-    plus the noise, and the idle noise are each one Dissipator; without
-    noise the pulse is bosonic amplitude damping, eta = exp(-theta^2)
-    (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).
+    parity sectors; its p_up sets the kick.  The linearized pulse, the jump
+    sqrt(theta^2/tau_c) a plus the noise, and the idle noise are each one
+    Dissipator; without noise the pulse is bosonic amplitude damping,
+    eta = exp(-theta^2) (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).
 
     The stage needs no wall clock and no drive: every part of it is
     covariant under exp(-i phi n), so the interaction-frame phases of the
@@ -366,13 +354,12 @@ class CoolingChannel:
     tracer wraps that class still reports through it.
     """
 
-    def __init__(self, cool, cutoff, noise=None, mode="exact"):
+    def __init__(self, cool, cutoff, noise, mode):
         if mode not in CHANNEL_MODES:
             raise ValueError(f"unknown channel mode {mode!r}")
-        self.noise = noise if noise is not None else NoiseParams()
-        noise_jumps = make_noise_jumps(self.noise, cutoff)
-        # only the exact pulses report the p_up that sets the recoil kick
-        exact = mode == "exact" and (cool.omega_c > 0 or not noise_jumps)
+        self.noise = noise
+        noise_jumps = make_noise_jumps(noise, cutoff)
+        exact = mode == "exact"
         if exact and not noise_jumps:
             kraus = pulse_kraus(0.5 * cool.omega_c * cool.tau_c, cutoff)
             up = kraus[2]
@@ -384,7 +371,6 @@ class CoolingChannel:
             # not split.apply, bound now: see the class docstring
             self._pulse = lambda state: split.apply(state)
         else:
-            # the linearized pulse; at omega_c = 0 also the noisy exact one
             a, _, _ = build_boson_ops(cutoff)
             cooling = 0.5 * cool.omega_c * np.sqrt(cool.tau_c) * a
             prop = Dissipator([cooling] + noise_jumps, cool.tau_c)
@@ -393,14 +379,17 @@ class CoolingChannel:
         self._idle = (Dissipator(noise_jumps, cool.tau_d - cool.tau_c).apply
                       if noise_jumps else None)
         self._diffusion = (recoil_diffusion(cutoff)
-                           if exact and self.noise.recoil_enabled else None)
+                           if exact and noise.recoil_enabled else None)
 
     def apply(self, state):
         """Apply the stage to the parity blocks of rho_m; returns (state,
         spin-up population before pump)."""
         state, pup = self._pulse(state)
         if self._diffusion is not None:
-            state = recoil_kick(state, pup, self.noise, self._diffusion)
+            if not 0 <= pup <= 1 + 1e-9:
+                raise ValueError("p_up must lie in [0, 1]")
+            dn = RECOIL_DN * (PHOTONS_PER_PUMP * pup) ** 2
+            state = recoil_kick(state, dn, self._diffusion)
         if self._idle is not None:
             state = self._idle(state)
         return state, pup

@@ -120,8 +120,8 @@ def h_qrm(derived, cutoff):
 
 def h_red_sideband(omega_c, cutoff):
     """Resonant red-sideband Hamiltonian (Omega_c/2)(a sigma+ + a^dag sigma-)."""
-    if omega_c <= 0:
-        raise ValueError("omega_c must be > 0")
+    if omega_c < 0:
+        raise ValueError("omega_c must be >= 0")
     return _sector_pair(cutoff, 0.0, 0.0, (0.0, 0.5 * omega_c))
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 from . import fockspace as fs
 from .fockspace import FockCutoff
-from .model import DriveParams, CoolParams, derive, h_qrm
+from .model import (DriveParams, CoolParams, derive, h_qrm,
+                    omega_sb_for_coupling)
 # unitary_propagator is not called here: the benchmark's tracer wraps it
 from .channels import (CHANNEL_MODES, NoiseParams, CoolingChannel,
                        SplitStepPropagator, make_noise_jumps,
@@ -260,7 +261,6 @@ def run(config):
 
 def config_with_coupling(config, g):
     """Copy of config with omega_sb set to realize dimensionless coupling g."""
-    from .model import omega_sb_for_coupling
     d = config.drive
     omega_sb = omega_sb_for_coupling(g, d.delta_b, d.delta_r)
     return replace(config, drive=replace(d, omega_sb=omega_sb))
@@ -269,7 +269,6 @@ def config_with_coupling(config, g):
 def config_with_ratio(config, ratio, g=None):
     """Copy of config with delta_b + delta_r rescaled to the given ratio R,
     keeping delta_b - delta_r fixed; omega_sb re-derived from g if given."""
-    from .model import omega_sb_for_coupling
     d = config.drive
     diff = d.delta_b - d.delta_r
     total = ratio * diff

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from iondpt import channels as ch
 from iondpt import fockspace as fs
 from iondpt.channels import (Dissipator, SplitStepPropagator, make_noise_jumps,
                              recoil_diffusion, recoil_kick, unitary_propagator)
@@ -92,8 +93,11 @@ def composite_cycles(config, cutoff, n_cycles, t0, chain=True):
         t += config.drive.tau
         rho, pup = pulse(to_frame(spin_reset(rho), t))
         rho = to_frame(rho, -(t + cool.tau_c))
-        rho = embed_down(recoil_kick(fs.trace_out_spin(rho), pup, noise,
-                                     diffusion))
+        rho_m = fs.trace_out_spin(rho)
+        if noise.recoil_enabled:
+            dn = ch.RECOIL_DN * (ch.PHOTONS_PER_PUMP * pup) ** 2
+            rho_m = recoil_kick(rho_m, dn, diffusion)
+        rho = embed_down(rho_m)
         rho = to_frame(idle_noise(rho), -t_idle)
         t += cool.tau_d
         nbar.append(fs.expectation(rho, num))

@@ -123,6 +123,16 @@ def test_import_leaves_blas_threads():
     assert after == before
 
 
+def test_import_leaves_yaml_unloaded():
+    """Only reading a config file needs yaml, so the engine's import does
+    not load it: analysis imports config's ConfigError lazily."""
+    code = "import sys, iondpt; print('yaml' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert out.strip() == "False"
+
+
 def test_r_scan_labels_and_axis():
     cfg = small_config(max_cycles=20)
     scan = r_scan(cfg, [25, 50], fixed_g=1.0)

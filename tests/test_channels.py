@@ -36,7 +36,7 @@ def number(rho_m):
     return fs.expectation(rho_m, np.diag(np.arange(rho_m.shape[0])))
 
 
-def cooling_stage(rho_m, mode, cool=COOL, noise=None):
+def cooling_stage(rho_m, mode, cool=COOL, noise=NoiseParams()):
     """One cooling stage on rho_m through its parity blocks; returns
     (rho_m, p_up before the pump)."""
     cut = FockCutoff(rho_m.shape[0] - 1)
@@ -44,12 +44,12 @@ def cooling_stage(rho_m, mode, cool=COOL, noise=None):
     return on_parity_blocks(channel.apply)(rho_m)
 
 
-def cool_exact(rho_m, cool=COOL, noise=None):
+def cool_exact(rho_m, cool=COOL, noise=NoiseParams()):
     """One exact cooling stage; returns (state, p_up before the pump)."""
     return cooling_stage(rho_m, "exact", cool=cool, noise=noise)
 
 
-def cool_lindblad(rho_m, noise=None):
+def cool_lindblad(rho_m, noise=NoiseParams()):
     """One linearized cooling stage."""
     return cooling_stage(rho_m, "lindblad", noise=noise)[0]
 
@@ -88,8 +88,6 @@ def even_state(n_max, seed):
 def test_noise_params_validation_and_units():
     with pytest.raises(ValueError):
         NoiseParams(heating_rate=-1.0)
-    with pytest.raises(ValueError):
-        NoiseParams(thermal_nth=0.0)
     n = NoiseParams.from_per_second(heating_per_s=50.0, dephasing_per_s=200.0)
     assert n.heating_rate == pytest.approx(5e-5)
     assert n.dephasing_rate == pytest.approx(2e-4)
@@ -229,23 +227,58 @@ def test_p_up():
 def test_recoil_kick():
     vac = fock(10, 0)
     diffusion = recoil_diffusion(FockCutoff(10))
-    noise = NoiseParams(recoil_enabled=True, recoil_dn=0.01, photons_per_pump=3)
-    out = recoil_kick(vac, 1.0, noise, diffusion)
+    out = recoil_kick(vac, 0.09, diffusion)
     n_t = number(out)
     assert n_t == pytest.approx(0.09, abs=1e-5)
-    assert np.allclose(recoil_kick(vac, 0.0, noise, diffusion), vac)
-    disabled = NoiseParams(recoil_dn=0.01)
-    assert np.allclose(recoil_kick(vac, 1.0, disabled, diffusion), vac)
-    with pytest.raises(ValueError):
-        recoil_kick(vac, 1.5, noise, diffusion)
+    assert np.allclose(recoil_kick(vac, 0.0, diffusion), vac)
+
+
+@pytest.mark.parametrize("rates", [{}, {"heating_rate": 1e-4,
+                                        "dephasing_rate": 1e-4}],
+                         ids=["kraus", "split-step"])
+def test_exact_stage_kicks_only_with_recoil_on(rates):
+    """With recoil off the exact stage is its pulse and idle alone; with it
+    on, the pulse's p_up sets the kick RECOIL_DN (N_p p_up)^2."""
+    cut = FockCutoff(12)
+    state = fs.to_blocks(even_state(cut.n_max, seed=8))
+    off, on = (CoolingChannel(COOL, cut, NoiseParams(recoil_enabled=recoil,
+                                                     **rates), "exact")
+               for recoil in (False, True))
+    jumps = make_noise_jumps(off.noise, cut)
+    if jumps:
+        pulsed, pup = SplitStepPropagator(
+            model.h_red_sideband(COOL.omega_c, cut), jumps,
+            COOL.tau_c).apply(state)
+        idle = Dissipator(jumps, COOL.tau_d - COOL.tau_c).apply
+    else:
+        kraus = pulse_kraus(THETA, cut)
+        pulsed = apply_kraus(kraus, state)
+        pup, idle = float(kraus[2] @ fs.populations(state).real), (lambda r: r)
+    out, pup_off = off.apply(state)
+    assert pup_off == pup
+    assert np.array_equal(out, idle(pulsed))
+    dn = ch.RECOIL_DN * (ch.PHOTONS_PER_PUMP * pup) ** 2
+    out, pup_on = on.apply(state)
+    assert pup_on == pup and dn > 1e-5
+    assert np.array_equal(
+        out, idle(recoil_kick(pulsed, dn, recoil_diffusion(cut))))
+
+
+def test_stage_rejects_p_up_outside_unit_interval():
+    cut = FockCutoff(6)
+    stage = CoolingChannel(COOL, cut, NoiseParams(recoil_enabled=True),
+                           "exact")
+    state = fs.to_blocks(fock(cut.n_max, 0))
+    stage._pulse = lambda state: (state, 1.5)
+    with pytest.raises(ValueError, match="p_up"):
+        stage.apply(state)
 
 
 def test_linearized_channel_ignores_recoil():
     # the linearized pulse reports p_up = 0, so no recoil kick can follow it
     rho = random_state(8, seed=5)
     for rates in ({}, {"heating_rate": 1e-4, "dephasing_rate": 1e-4}):
-        kicked = cool_lindblad(rho, NoiseParams(recoil_enabled=True,
-                                                recoil_dn=0.5, **rates))
+        kicked = cool_lindblad(rho, NoiseParams(recoil_enabled=True, **rates))
         assert np.array_equal(kicked, cool_lindblad(rho, NoiseParams(**rates)))
 
 
@@ -479,17 +512,6 @@ def test_split_step_is_cptp(stage, rho_m):
     assert np.linalg.eigvalsh(out).min() >= -1e-12
 
 
-def test_split_step_without_jumps_is_unitary():
-    cut = FockCutoff(6)
-    H = h_qrm(DERIVED, cut)
-    out, pup = on_parity_blocks(SplitStepPropagator(
-        model.h_qrm(DERIVED, cut), [], 13.0).apply)(fock(cut.n_max, 2))
-    ref = unitary_step(projector(cut, 0, 2), H, 13.0)
-    # one exact slice: 1.7e-15 on the state and 7.2e-16 on p_up
-    assert np.abs(out - fs.trace_out_spin(ref)).max() < 1e-14
-    assert abs(pup - p_up(ref)) < 1e-14
-
-
 @pytest.mark.parametrize("n_max", [12, 30])
 @pytest.mark.parametrize("stage", ["drive", "pulse"])
 def test_chain_split_step_matches_composite(stage, n_max):
@@ -515,10 +537,27 @@ def test_zero_amplitude_cooling_pulse_keeps_populations():
     assert np.allclose(np.diag(out).real, np.diag(rho).real, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["exact", "lindblad"])
+def test_zero_amplitude_noisy_stage_is_pure_noise(mode):
+    """At Omega_c = 0 a noisy stage of either mode is the noise's flow over
+    the whole window tau_d, and reports no spin flip."""
+    cut = FockCutoff(19)
+    noise = NoiseParams.from_per_second(heating_per_s=50.0,
+                                        dephasing_per_s=200.0,
+                                        recoil_enabled=True)
+    cool0 = CoolParams.from_khz(0.0, 5.0, 13.0)
+    state = fs.to_blocks(even_state(cut.n_max, seed=19))
+    out, pup = CoolingChannel(cool0, cut, noise, mode).apply(state)
+    ref = Dissipator(make_noise_jumps(noise, cut), cool0.tau_d).apply(state)
+    assert pup == 0
+    assert np.abs(out - ref).max() <= 1e-12
+
+
 def dissipator_jump_sets(cut):
     a, adag, _ = fs.build_boson_ops(cut)
-    noise = make_noise_jumps(NoiseParams(heating_rate=5e-3, thermal_nth=3.0,
-                                         dephasing_rate=2e-2), cut)
+    # heating 5e-3 split by a bath of occupancy 3
+    noise = [np.sqrt(5e-3) * adag, np.sqrt(5e-3 * 4 / 3) * a]
+    noise += make_noise_jumps(NoiseParams(dephasing_rate=2e-2), cut)
     cooling = 0.3 * a
     return {"heating+dephasing": noise,
             "cooling+heating+dephasing": [cooling] + noise,
@@ -539,12 +578,11 @@ def test_dissipator_matches_lindblad_step(name):
 
 
 def test_recoil_kick_matches_lindblad_step():
-    # the kick dn = recoil_dn * (N_p * p_up)^2 is the unit pair's flow over dn
+    # the kick of size dn is the unit pair's flow over dn
     cut = FockCutoff(16)
     a, adag, _ = fs.build_boson_ops(cut)
     rho = random_state(cut.n_max, seed=6)
-    noise = NoiseParams(recoil_enabled=True, recoil_dn=0.04, photons_per_pump=2)
-    out = recoil_kick(rho, 0.5, noise, recoil_diffusion(cut))
+    out = recoil_kick(rho, 0.04, recoil_diffusion(cut))
     ref = lindblad_step(rho, None, [0.2 * adag, 0.2 * a], 1.0)
     assert np.abs(out - ref).max() <= 1e-12
 
@@ -583,11 +621,10 @@ def test_parity_blocks_map_like_rho_m(n_max):
     column of an odd dimension stays zero."""
     cut = FockCutoff(n_max)
     rho = even_state(n_max, seed=n_max)
-    noise = NoiseParams(recoil_enabled=True, recoil_dn=0.04, photons_per_pump=2)
     diffusion = recoil_diffusion(cut)
     maps = [Dissipator(jumps, 4.0).apply
             for jumps in dissipator_jump_sets(cut).values()]
-    maps.append(lambda r: recoil_kick(r, 0.5, noise, diffusion))
+    maps.append(lambda r: recoil_kick(r, 0.04, diffusion))
     for apply in maps:
         out = apply(fs.to_blocks(rho))
         assert out.shape == (cut.bdim, (cut.bdim + 1) // 2)

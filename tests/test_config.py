@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,38 @@ def test_channel_and_noise_from_file():
     tree["noise"]["recoil"] = "yes"
     with pytest.raises(ConfigError, match="recoil"):
         experiment_from_tree(tree)
+
+
+def defaulted_leaves(obj, path=""):
+    """(name, value, default) of each field of the dataclass obj and of the
+    dataclasses it holds, recursively, whose field has a default."""
+    for f in dataclasses.fields(obj):
+        value, name = getattr(obj, f.name), path + f.name
+        if dataclasses.is_dataclass(value):
+            yield from defaulted_leaves(value, name + ".")
+        elif f.default is not dataclasses.MISSING:
+            yield name, value, f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            yield name, value, f.default_factory()
+
+
+def test_a_config_reaches_every_run_setting():
+    """The file is the one source of a run's physics: a tree can move every
+    defaulted setting of the run and of the probe off its default.  Only
+    the per-cycle check switch debug_validate is not physics."""
+    tree = minimal_tree(
+        noise={"heating_per_s": 50.0, "dephasing_per_s": 200.0,
+               "recoil": True},
+        initial={"kind": "ground", "nbar": 2.0}, channel="lindblad",
+        cycles={"mode": "tolerance", "max": 300, "tol": 0.01, "window": 30},
+        cutoff={"n_max": 20, "eps": 1e-3, "growth": 2.0, "ceiling": 400},
+        jitter_sigma_khz=0.1, seed=3,
+        probe={"omega_probe_khz": 15.0, "shots": 100, "k_max": 10,
+               "decay_model": "pow07"})
+    unreached = [name for obj in (experiment_from_tree(tree), probe_spec(tree))
+                 for name, value, default in defaulted_leaves(obj)
+                 if value == default and name != "debug_validate"]
+    assert unreached == []
 
 
 def test_scan_spec_variants():

@@ -92,8 +92,11 @@ def test_h_red_sideband_elements():
     assert np.all(diag == 0)
     # |down, 0> is the dark state: sector 0 starts with no link
     assert off[0, 0] == 0.0
+    # no pulse at Omega_c = 0, as CoolParams allows; a negative one is refused
+    diag, off = h_red_sideband(0.0, cut)
+    assert not diag.any() and not off.any()
     with pytest.raises(ValueError):
-        h_red_sideband(0.0, cut)
+        h_red_sideband(-omega_c, cut)
 
 
 def test_h_blue_sideband_elements_and_boundary():
