@@ -187,6 +187,40 @@ def test_fit_jacobian_matches_finite_difference(monkeypatch):
     assert seen["jac"](over)[-1, :-1] == pytest.approx(10.0)
 
 
+def converged_measurement(monkeypatch, rho, **settings):
+    """measure_nbar's (nbar, sigma) with least_squares run to tolerances of
+    1e-15: the optimum that the default tolerances may stop short of."""
+    least_squares = pr.least_squares
+
+    def tight(fun, x0, jac, **kwargs):
+        return least_squares(fun, x0, jac=jac, ftol=1e-15, xtol=1e-15,
+                             gtol=1e-15, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pr, "least_squares", tight)
+        return measure_nbar(rho, OMEGA, **settings)[:2]
+
+
+def test_shot_free_fit_lands_on_the_converged_optimum(monkeypatch):
+    """Shot-free data has its optimum on the gamma0 = 0 bound, where the
+    fit starts; a start at gamma0 = 1e-3 stopped 1.25e-4 phonons short."""
+    rho = thermal_state(3.0, FockCutoff(45), eps=1e-3)
+    nbar, sigma, fit, _ = measure_nbar(rho, OMEGA)
+    ref_nbar, ref_sigma = converged_measurement(monkeypatch, rho)
+    assert abs(nbar - ref_nbar) <= 1e-8
+    assert sigma == pytest.approx(ref_sigma, rel=1e-6)
+    assert fit.gamma0 <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shot_noise_fit_lands_on_the_converged_optimum(monkeypatch, seed):
+    """The start on the gamma0 bound does not strand a fit of noisy data."""
+    rho = thermal_state(3.0, FockCutoff(45), eps=1e-3)
+    nbar, sigma = measure_nbar(rho, OMEGA, shots=1000, seed=seed)[:2]
+    ref_nbar, _ = converged_measurement(monkeypatch, rho, shots=1000, seed=seed)
+    assert abs(nbar - ref_nbar) <= 1e-3 * sigma
+
+
 @pytest.mark.filterwarnings("ignore:k_max=40 drops")   # the capped tail
 def test_fit_insensitive_to_rounding_noise():
     """A capped fit of a fat tail moves nbar by far less than the 1e-9 an
