@@ -14,10 +14,16 @@ from scipy.optimize import least_squares
 
 # not called here: the benchmark tracer (perfbench/spans.py) wraps this name
 from .fockspace import trace_out_spin
-from .probe import (FitError, fit_covariance, measure_nbar, read_csv,
-                    write_csv)
+from .probe import (FitError, fit_covariance, measure_nbar, read_table,
+                    write_table)
 from .protocol import (run, config_with_coupling, config_with_ratio,
                        SimulationDiverged)
+
+
+# a scan point's columns after the axis value, with their types: the
+# ScanResult fields, _steady_point's keys and the scan CSV's header
+POINT_COLUMNS = {"nbar": float, "sigma": float, "converged": bool,
+                 "cycles": int, "n_max": int}
 
 
 @dataclass
@@ -48,19 +54,19 @@ class FitResult:
 
 
 def _steady_point(args):
+    """The POINT_COLUMNS of one (config, probe) scan point, as a dict."""
     config, probe = args
     try:
         traj = run(config)
     except SimulationDiverged:
-        return dict(nbar=np.nan, sigma=np.nan, converged=False, cycles=0,
-                    n_max=config.cutoff.ceiling)
-    nbar = traj.steady_nbar()
-    sigma = np.nan
-    if probe is not None:
-        nbar, sigma, _, _ = measure_nbar(traj.final_state, seed=config.seed,
-                                         **asdict(probe))
-    return dict(nbar=nbar, sigma=sigma, converged=traj.converged,
-                cycles=traj.cycles_run, n_max=traj.n_max)
+        point = (np.nan, np.nan, False, 0, config.cutoff.ceiling)
+    else:
+        nbar, sigma = traj.steady_nbar(), np.nan
+        if probe is not None:
+            nbar, sigma, _, _ = measure_nbar(traj.final_state,
+                                             seed=config.seed, **asdict(probe))
+        point = (nbar, sigma, traj.converged, traj.cycles_run, traj.n_max)
+    return dict(zip(POINT_COLUMNS, point))
 
 
 def _point_configs(make, values, probe, axis=True):
@@ -152,13 +158,9 @@ def _dispatch(jobs, threads):
 
 
 def _collect(axis, values, rows, label=""):
-    return ScanResult(
-        axis=axis, values=np.asarray(values, dtype=float),
-        nbar=np.array([r["nbar"] for r in rows]),
-        sigma=np.array([r["sigma"] for r in rows]),
-        converged=np.array([r["converged"] for r in rows]),
-        cycles=np.array([r["cycles"] for r in rows]),
-        n_max=np.array([r["n_max"] for r in rows]), label=label)
+    return ScanResult(axis, values, label=label, **{
+        name: np.array([r[name] for r in rows], dtype=kind)
+        for name, kind in POINT_COLUMNS.items()})
 
 
 def g_scan(base_config, g_values, probe=None, threads=1):
@@ -395,22 +397,17 @@ def fit_loglog_slope(points):
 
 
 def scan_to_csv(scan, path):
-    write_csv(path, [scan.axis, "nbar", "sigma", "converged", "cycles", "n_max"],
-              ([f"{scan.values[i]:.12g}", f"{scan.nbar[i]:.12g}",
-                f"{scan.sigma[i]:.12g}", int(scan.converged[i]),
-                int(scan.cycles[i]), int(scan.n_max[i])]
-               for i in range(scan.values.size)))
+    write_table(path, {scan.axis: scan.values,
+                       **{name: getattr(scan, name) for name in POINT_COLUMNS}})
 
 
 def scan_from_csv(path):
-    rows = read_csv(path)
-    if not rows or len(rows[0]) < 6:
-        raise ValueError(f"{path}: expected scan CSV header with 6 columns")
-    axis = rows[0][0]
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    header, data = read_table(path)
+    if header[1:] != list(POINT_COLUMNS):
+        raise ValueError(f"{path}: expected scan CSV header <axis>,"
+                         + ",".join(POINT_COLUMNS))
     if data.size == 0:
         raise ValueError(f"{path}: empty scan")
-    return ScanResult(axis=axis, values=data[:, 0], nbar=data[:, 1],
-                      sigma=data[:, 2], converged=data[:, 3].astype(bool),
-                      cycles=data[:, 4].astype(int),
-                      n_max=data[:, 5].astype(int))
+    return ScanResult(header[0], data[:, 0], **{
+        name: data[:, i].astype(kind)
+        for i, (name, kind) in enumerate(POINT_COLUMNS.items(), start=1)})

@@ -63,16 +63,10 @@ def _write_manifest(out_dir, stem, tree, seed, started, outputs, **extra):
                        manifest, default=repr)
 
 
-def _read_tree(path):
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    return load_tree(path)
-
-
 def _load_config(args):
     if not args.config:
         raise ConfigError("--config is required for this subcommand")
-    tree = _read_tree(args.config)
+    tree = load_tree(args.config)
     if args.seed is not None:
         tree["seed"] = args.seed
     return tree, experiment_from_tree(tree)
@@ -88,22 +82,19 @@ def cmd_run(args):
     traj = run(config)
     stem = _stem(args)
     csv_path = os.path.join(args.out_dir, f"{stem}_trajectory.csv")
-    probe.write_csv(csv_path, ["cycle", "nbar", "p_up", "t_us", "n_max"],
-                    ([c, f"{n:.12g}", f"{p:.12g}", f"{t:.12g}", traj.n_max]
-                     for c, n, p, t in zip(traj.cycle, traj.nbar, traj.p_up,
-                                           traj.t_us)))
+    probe.write_table(csv_path, {
+        "cycle": traj.cycle, "nbar": traj.nbar, "p_up": traj.p_up,
+        "t_us": traj.t_us, "n_max": np.full(traj.cycle.size, traj.n_max)})
     outputs = {"trajectory": csv_path}
 
-    if traj.cycles_run >= 10:
-        try:
-            fit = analysis.fit_exponential_saturation(traj)
-            outputs["relaxation_fit"] = _write_json(
-                os.path.join(args.out_dir, f"{stem}_relaxation.json"),
-                {"model": fit.model, "params": fit.params,
-                 "errors": fit.errors,
-                 "residual_rms": fit.residual_rms})
-        except analysis.FitError:
-            pass  # relaxation summary is optional
+    try:
+        fit = analysis.fit_exponential_saturation(traj)
+        outputs["relaxation_fit"] = _write_json(
+            os.path.join(args.out_dir, f"{stem}_relaxation.json"),
+            {"model": fit.model, "params": fit.params, "errors": fit.errors,
+             "residual_rms": fit.residual_rms})
+    except analysis.FitError:
+        pass  # relaxation summary is optional
 
     manifest = _write_manifest(args.out_dir, stem, tree, config.seed, started,
                                outputs)
@@ -149,16 +140,6 @@ def cmd_scan(args):
     return 0
 
 
-def _read_xy_csv(path):
-    rows = probe.read_csv(path)
-    if len(rows) < 2:
-        raise ValueError("empty or header-only CSV")
-    try:
-        return np.array([[float(row[0]), float(row[1])] for row in rows[1:]])
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"expected numeric two-column rows: {exc}") from exc
-
-
 def cmd_fit(args):
     if not os.path.isfile(args.data):
         raise ConfigError(f"data file not found: {args.data}")
@@ -166,7 +147,7 @@ def cmd_fit(args):
         if not args.config:
             raise ConfigError("populations fit needs --config for the probe "
                               "Rabi frequency")
-        popts = probe_spec(_read_tree(args.config))
+        popts = probe_spec(load_tree(args.config))
         if popts.omega_probe is None:
             raise ConfigError("config probe.omega_probe_khz is required for "
                               "the populations fit")
@@ -183,13 +164,17 @@ def cmd_fit(args):
                       "errors": {"nbar": sigma},
                       "residual_rms": fit.residual_rms}
         else:
-            data = _read_xy_csv(args.data)
+            _, data = probe.read_table(args.data)
+            if len(data) == 0 or data.shape[1] < 2:
+                raise ValueError("expected a header and at least one row of "
+                                 "two or more columns")
+            xy = data[:, :2]
             if args.model == "saturation":
-                fit = analysis.fit_exponential_saturation((data[:, 0], data[:, 1]))
+                fit = analysis.fit_exponential_saturation(xy.T)
             elif args.model == "loglog":
-                fit = analysis.fit_loglog_slope(data)
+                fit = analysis.fit_loglog_slope(xy)
             else:
-                fit = analysis.fit_critical_power_law(data)
+                fit = analysis.fit_critical_power_law(xy)
             report = {"model": fit.model, "params": fit.params,
                       "errors": fit.errors, "residual_rms": fit.residual_rms}
     except ValueError as exc:

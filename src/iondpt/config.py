@@ -56,6 +56,16 @@ def _numbers(mapping, key, where):
     return [float(v) for v in val]
 
 
+def _known(mapping, keys, where):
+    """mapping, when it has no key outside keys: a key the program does
+    not read, such as a misspelt one, is a ConfigError."""
+    unknown = [key for key in mapping if key not in keys]
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}; it reads "
+                          + ", ".join(keys))
+    return mapping
+
+
 def _mapping(tree, key, where, required=True):
     if key not in tree:
         if required:
@@ -68,12 +78,14 @@ def _mapping(tree, key, where, required=True):
 
 
 def _section(tree, name, factory, numbers=(), integers=(), as_is=(),
-             required=False, **extra):
+             required=False, read_elsewhere=(), **extra):
     """factory(**keywords) from a section's keys: numbers as floats,
     integers as ints, the as_is keys unchanged.  Unless required, a key the
-    file omits is left out and so takes the dataclass default.  A
-    ValueError of the factory is reported as ConfigError."""
-    sec = _mapping(tree, name, "config", required)
+    file omits is left out and so takes the dataclass default.  A key that
+    is none of these or of the caller's read_elsewhere, or a ValueError of
+    the factory, is reported as ConfigError."""
+    sec = _known(_mapping(tree, name, "config", required),
+                 (*numbers, *integers, *as_is, *read_elsewhere), name)
     kw = {key: sec[key] for key in as_is if key in sec}
     for read, keys in ((_number, numbers), (_integer, integers)):
         kw.update((key, read(sec, key, name))
@@ -97,13 +109,18 @@ def _noise(tree):
                               f"got {sec['recoil']!r}")
         recoil["recoil_enabled"] = sec["recoil"]
     return _section(tree, "noise", NoiseParams.from_per_second,
-                    ("heating_per_s", "dephasing_per_s"), **recoil)
+                    ("heating_per_s", "dephasing_per_s"),
+                    read_elsewhere=("recoil",), **recoil)
 
 
 def load_tree(path):
     try:
         with open(path) as fh:
             tree = yaml.safe_load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(tree, dict):
@@ -111,8 +128,14 @@ def load_tree(path):
     return tree
 
 
+# scan and probe are read by scan_spec and probe_spec
+TOP_LEVEL_KEYS = ("drive", "cool", "noise", "initial", "cycles", "cutoff",
+                  "channel", "seed", "jitter_sigma_khz", "scan", "probe")
+
+
 def experiment_from_tree(tree):
     """The ExperimentConfig of a tree: every setting of the run."""
+    _known(tree, TOP_LEVEL_KEYS, "config")
     cycles = _mapping(tree, "cycles", "config", required=False)
     kw = {}
     if "channel" in tree:
@@ -134,7 +157,8 @@ def experiment_from_tree(tree):
         initial=_section(tree, "initial", InitialState, ("nbar",),
                          as_is=("kind",)),
         convergence=_section(tree, "cycles", Convergence, ("tol",),
-                             ("window",), as_is=("mode",)),
+                             ("window",), as_is=("mode",),
+                             read_elsewhere=("max",)),
         cutoff=_section(tree, "cutoff", CutoffPolicy, ("eps", "growth"),
                         ("n_max", "ceiling")),
         **kw)
@@ -151,6 +175,9 @@ def scan_spec(tree):
     axis = _require(sec, "axis", "scan")
     if axis not in ("g", "R", "cooling"):
         raise ConfigError(f"scan.axis: expected g, R or cooling, got {axis!r}")
+    grid = ("values",) if "values" in sec else ("start", "stop", "count")
+    axis_keys = {"g": (), "R": ("fixed_g",), "cooling": ("omega_c_khz",)}
+    _known(sec, ("axis", *grid, *axis_keys[axis]), "scan")
     if "values" in sec:
         values = _numbers(sec, "values", "scan")
     else:

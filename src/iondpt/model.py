@@ -79,8 +79,6 @@ def derive(drive):
     """Map sideband-drive parameters onto the Rabi-model parameters."""
     omega_a = 0.5 * (drive.delta_b + drive.delta_r)
     omega_f = 0.5 * (drive.delta_b - drive.delta_r)
-    if omega_f <= 0:
-        raise ValueError("delta_b <= delta_r: boson frequency not positive")
     lam = 0.5 * drive.omega_sb
     g = 2.0 * drive.omega_sb / np.sqrt(drive.delta_b**2 - drive.delta_r**2)
     return DerivedParams(omega_a, omega_f, lam, omega_a / omega_f, g)

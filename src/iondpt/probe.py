@@ -130,22 +130,35 @@ def fit_covariance(residuals, jac):
     return sigma2 * np.linalg.pinv(jac.T @ jac)
 
 
-def write_csv(path, header, rows):
-    """Write a header row and then the data rows to a CSV file."""
+def write_table(path, columns):
+    """Write a CSV file of named columns, a mapping of header to 1-D
+    values of equal length.  Every cell is %.12g of its float value, so
+    counts and booleans print as integers."""
+    data = np.column_stack([np.asarray(c, dtype=float)
+                            for c in columns.values()])
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows([f"{v:.12g}" for v in row] for row in data.tolist())
 
 
-def read_csv(path):
-    """CSV rows as string lists, header first; short rows raise ValueError."""
+def read_table(path):
+    """(header, float array of the data rows) of a CSV file; a row whose
+    length differs from the header's, or that holds a cell that is not a
+    number, raises ValueError naming the row."""
     with open(path, newline="") as fh:
-        rows = list(_csv.reader(fh))
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) < len(rows[0]):
-            raise ValueError(f"row {line} {row!r} is shorter than the header")
-    return rows
+        header, *rows = list(_csv.reader(fh)) or [[]]
+    data = np.empty((len(rows), len(header)))
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            side = "shorter" if len(row) < len(header) else "longer"
+            raise ValueError(f"row {line} {row!r} is {side} than the header")
+        try:
+            data[line - 2] = [float(v) for v in row]
+        except ValueError:
+            raise ValueError(f"row {line} {row!r} holds a cell that is not "
+                             "a number") from None
+    return header, data
 
 
 def fit_populations(scan, k_max, decay_model="sqrt"):
@@ -254,23 +267,16 @@ def measure_nbar(rho_m, omega_probe, shots=None, seed=0, k_max=None,
 
 
 def scan_to_csv(scan, path):
-    header, shots = ["t_us", "p_up"], []
+    columns = {"t_us": scan.times, "p_up": scan.p_up}
     if scan.shots is not None:
-        header, shots = ["t_us", "p_up", "shots"], [scan.shots]
-    write_csv(path, header, ([f"{t:.12g}", f"{p:.12g}"] + shots
-                             for t, p in zip(scan.times, scan.p_up)))
+        columns["shots"] = np.full(scan.times.size, scan.shots)
+    write_table(path, columns)
 
 
 def scan_from_csv(path, omega_probe):
-    rows = read_csv(path)
-    if not rows or rows[0][:1] != ["t_us"]:
-        raise ValueError("expected header starting with t_us")
-    has_shots = len(rows[0]) > 2 and rows[0][2] == "shots"
-    times, p_up, shots = [], [], None
-    for row in rows[1:]:
-        times.append(float(row[0]))
-        p_up.append(float(row[1]))
-        if has_shots:
-            shots = int(row[2])
-    return ProbeScan(times=np.array(times), p_up=np.array(p_up),
+    header, data = read_table(path)
+    if header[:2] != ["t_us", "p_up"]:
+        raise ValueError("expected header starting with t_us,p_up")
+    shots = int(data[-1, 2]) if header[2:] == ["shots"] and data.size else None
+    return ProbeScan(times=data[:, 0], p_up=data[:, 1],
                      omega_probe=omega_probe, shots=shots)

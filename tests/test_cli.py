@@ -14,6 +14,8 @@ from helpers import subprocess_env
 from iondpt import analysis, cli
 from iondpt.cli import main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 BASE_YAML = """\
 drive:
   delta_b_khz: 26.0
@@ -201,7 +203,7 @@ def test_fit_error_names_data_path_once(tmp_path, capsys):
     assert main(["fit", str(data), "--model", "populations", "--config",
                  str(cfg), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {data}: expected header starting with t_us\n"
+    assert err == f"error: {data}: expected header starting with t_us,p_up\n"
 
 
 def test_fit_populations_short_row_is_data_error(tmp_path, capsys):
@@ -279,12 +281,16 @@ G_SCAN = "scan:\n  axis: g\n  values: [0.8, 1.2]\n"
     (["run"], "noise:\n  recoil: \"yes\"\n"),
     (["run"], "cutoff:\n  ceiling: 10\n"),
     # the probe section is checked even when --probe does not read it
-    (SCAN, G_SCAN + "probe:\n  k_max: -3\n")],
+    (SCAN, G_SCAN + "probe:\n  k_max: -3\n"),
+    # a key nothing reads, such as a misspelt one, is an error
+    (["run"], "noise:\n  heating_per_sec: 50.0\n"),
+    (SCAN, G_SCAN + "probe:\n  shot: 100\n")],
     ids=["scan-decreasing", "scan-g-zero", "scan-R-below-one",
          "scan-negative-omega-c", "scan-cooling-probe-zero-omega-c",
          "threads-zero", "threads-negative", "seed-flag", "seed-file",
          "seed-probe-demo", "channel-unknown", "recoil-not-bool",
-         "ceiling-below-n-max", "scan-direct-bad-probe"])
+         "ceiling-below-n-max", "scan-direct-bad-probe", "noise-key-unknown",
+         "probe-key-unknown"])
 def test_bad_setting_rejected_before_any_cycle(tmp_path, monkeypatch, capsys,
                                                command, setting):
     def no_cycles(config):
@@ -321,6 +327,39 @@ def test_scan_probe_bytes_independent_of_threads(tmp_path):
                             .read_text())["processes"]
                  for name in ("serial", "pool")]
     assert processes == [1, 2]
+
+
+def test_diverged_scan_point_row_and_fit(tmp_path):
+    # g = 2.4 outgrows the cutoff ceiling; its row keeps the ceiling and no
+    # fit may read its nbar
+    cfg = tmp_path / "div.yaml"
+    cfg.write_text(BASE_YAML + "cutoff:\n  n_max: 10\n  ceiling: 15\n"
+                   "scan:\n  axis: g\n  values: [0.8, 1.0, 2.4]\n")
+    out = tmp_path / "out"
+    assert main(SCAN + ["--config", str(cfg), "--out-dir", str(out)]) == 0
+    rows = read_rows(out / "div_scan.csv")
+    assert [np.isfinite(float(r[1])) for r in rows[1:3]] == [True, True]
+    assert rows[3] == ["2.4", "nan", "nan", "0", "0", "15"]
+    assert main(["fit", str(out / "div_scan.csv"), "--model", "loglog",
+                 "--out-dir", str(out)]) == 4
+
+
+def test_fit_populations_of_probe_demo_scan(tmp_path):
+    tree = yaml.safe_load((CONFIGS / "fig2a.yaml").read_text())
+    tree["probe"]["k_max"] = 12
+    cfg = tmp_path / "fig2a.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="k_max=12 drops"):
+        assert main(["probe-demo", "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+    assert main(["fit", str(out / "fig2a_probe.csv"), "--model",
+                 "populations", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    demo = json.loads((out / "fig2a_populations.json").read_text())
+    fit = json.loads((out / "fig2a_probe_populations_fit.json").read_text())
+    # the stored scan differs from the demo's only in its 12 printed digits
+    assert fit["params"]["nbar"] == pytest.approx(demo["nbar_fit"], abs=1e-9)
+    assert fit["errors"]["nbar"] == pytest.approx(demo["sigma"], rel=1e-8)
 
 
 def test_scan_probe_on_cooling_axis(tmp_path):

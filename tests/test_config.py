@@ -26,8 +26,11 @@ def minimal_tree(**extra):
 
 def test_load_shipped_configs():
     for name in ("fig2a", "fig2c", "fig3_r50", "fig4", "sm_s1", "sm_s2"):
-        cfg = load_experiment(CONFIGS / f"{name}.yaml")
-        assert cfg.drive.tau == 20.0
+        tree = load_tree(CONFIGS / f"{name}.yaml")
+        assert experiment_from_tree(tree).drive.tau == 20.0
+        probe_spec(tree)
+        if "scan" in tree:
+            assert scan_spec(tree)["values"]
 
 
 def test_fig2a_values():
@@ -81,6 +84,18 @@ def test_integer_keys(path):
     for bad in (40.5, "abc", True):
         with pytest.raises(ConfigError, match=path[-1]):
             read_all(tree_with(path, bad))
+
+
+@pytest.mark.parametrize("path", [
+    ("jitter_sigma",), ("drive", "tau"), ("cool", "omega_c"),
+    ("noise", "heating_per_sec"), ("initial", "n_bar"),
+    ("cycles", "max_cycles"), ("cutoff", "nmax"), ("scan", "vaules"),
+    ("scan", "fixed_g"), ("probe", "shot")], ids=".".join)
+def test_unknown_key_rejected(path):
+    # a g-axis scan does not read fixed_g
+    where = path[0] if len(path) > 1 else "config"
+    with pytest.raises(ConfigError, match=f"^{where}: unknown key '{path[-1]}'"):
+        read_all(tree_with(path, 1.0))
 
 
 def test_missing_key_diagnostics():

@@ -333,6 +333,23 @@ def test_csv_round_trip(tmp_path):
         scan_from_csv(bad, OMEGA)
 
 
+def test_table_cells_and_bad_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    pr.write_table(path, {"n": [1, 2], "x": [0.5, np.nan], "ok": [True, False]})
+    assert path.read_bytes() == b"n,x,ok\r\n1,0.5,1\r\n2,nan,0\r\n"
+    header, data = pr.read_table(path)
+    assert header == ["n", "x", "ok"]
+    assert np.array_equal(data, [[1, 0.5, 1], [2, np.nan, 0]], equal_nan=True)
+    for text, message in (
+            ("a,b\n1,2\n3\n", "row 3 ['3'] is shorter than the header"),
+            ("a,b\n1,2,3\n", "row 2 ['1', '2', '3'] is longer than the header"),
+            ("a,b\n1,x\n", "row 2 ['1', 'x'] holds a cell that is not a number")):
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            pr.read_table(path)
+        assert str(info.value) == message
+
+
 def test_sigma_shrinks_with_shots():
     rho = thermal_state(1.0, FockCutoff(30))
     sig = {}
