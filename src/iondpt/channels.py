@@ -216,6 +216,12 @@ def _on_offset_diagonals(rho, b, step):
     return y.reshape(-1)[scatter].view(complex).reshape(rho.shape)
 
 
+def apply_offsets(table, rho):
+    """x_k -> table[k] @ x_k on both sides of every offset diagonal x_k of
+    rho (see _offset_layout), for a real (b, b, b) table."""
+    return _on_offset_diagonals(rho, len(table), lambda x, ks: table[ks] @ x)
+
+
 class Dissipator:
     """Exact Lindblad flow of phase-covariant boson jumps over a time t.
 
@@ -227,13 +233,35 @@ class Dissipator:
         from scipy.linalg import expm
         gen = _offset_generators(jumps)
         b = len(gen)
-        self._exp = np.array([np.pad(expm(t * g[:b - k, :b - k]), (0, k))
-                              for k, g in enumerate(gen)])
+        self.table = np.array([np.pad(expm(t * g[:b - k, :b - k]), (0, k))
+                               for k, g in enumerate(gen)])
 
     def apply(self, rho):
-        exp = self._exp
-        return _on_offset_diagonals(rho, exp.shape[0],
-                                    lambda x, ks: exp[ks] @ x)
+        return apply_offsets(self.table, rho)
+
+
+def _saba2_slices(t):
+    """(n_slices, dt, times) of the two-node split over t: slices dt of at
+    most SLICE_US, and the times x1 dt, (x2 - x1) dt and 2 x1 dt of its
+    edge, middle and merged unitaries, x1 < x2 the GAUSS_NODES."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    n_slices = max(1, int(np.ceil(t / SLICE_US)))
+    dt = t / n_slices
+    x1, x2 = GAUSS_NODES
+    return n_slices, dt, (x1 * dt, (x2 - x1) * dt, 2 * x1 * dt)
+
+
+def _saba2(state, n_slices, unitary, dissipate):
+    """The sequence U((1 - x2) dt) D U((x2 - x1) dt) D U(x1 dt) per slice,
+    outer unitaries merged between slices: unitary(state, j) applies the
+    unitary over times[j] of _saba2_slices, dissipate the Dissipator over
+    dt/2."""
+    state = unitary(state, 0)
+    for i in range(n_slices):
+        state = dissipate(unitary(dissipate(state), 1))
+        state = unitary(state, 2 if i + 1 < n_slices else 0)
+    return state
 
 
 class SplitStepPropagator:
@@ -251,31 +279,92 @@ class SplitStepPropagator:
     """
 
     def __init__(self, H, jumps, t):
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        self.n_slices = max(1, int(np.ceil(t / SLICE_US)))
-        dt = t / self.n_slices
-        x1, x2 = GAUSS_NODES
-        times = [x1 * dt, (x2 - x1) * dt, 2 * x1 * dt]
-        self._edge, self._mid, self._merged = [
-            (u, u.conj().swapaxes(1, 2)) for u in sector_propagators(H, times)]
+        self.n_slices, dt, times = _saba2_slices(t)
+        self._unitaries = [(u, u.conj().swapaxes(1, 2))
+                           for u in sector_propagators(H, times)]
         self._dissipate = Dissipator(jumps, dt / 2).apply
+
+    def _unitary(self, out, j):
+        u, u_h = self._unitaries[j]
+        return u @ out @ u_h
 
     def apply(self, state):
         """(state, p_up) after the step from |down><down| (x) rho_m, for
         rho_m and the output as parity blocks."""
         out = np.zeros((2,) + (len(state),) * 2, dtype=complex)
         out[0, ::2, ::2], out[1, 1::2, 1::2] = blocks(state)
-        u, u_h = self._edge
-        out = u @ out @ u_h
-        for i in range(self.n_slices):
-            u, u_h = self._mid
-            out = self._dissipate(u @ self._dissipate(out) @ u_h)
-            u, u_h = self._merged if i + 1 < self.n_slices else self._edge
-            out = u @ out @ u_h
+        out = _saba2(out, self.n_slices, self._unitary, self._dissipate)
         pup = np.trace(out[0, 1::2, 1::2]) + np.trace(out[1, ::2, ::2])
         # an odd offset of a sector couples |down> to |up> and traces out
         return to_blocks(out[0] + out[1]), float(pup.real)
+
+
+def pulse_table(omega_c, tau_c, jumps, cutoff):
+    """Real weights (table, up) of the noisy exact cooling pulse and the
+    pump: the SplitStepPropagator sequence of h_red_sideband and the jumps
+    over tau_c, composed per even offset, so that the pulse maps the parity
+    blocks by apply_offsets(table, .) with p_up = up @ populations.
+
+    The sideband rotates |down, i> into |up, i-1>, so on offset k it mixes
+    the four components of M_i = [[<d,i|.|d,i+k>, <d,i|.|u,i+k-1>],
+    [<u,i-1|.|d,i+k>, <u,i-1|.|u,i+k-1>]] (d = down, u = up) alone: its
+    unitary maps M_i to R_i M_i R_{i+k}^dag, R_i = exp(-i a_i sigma_x) with
+    a_i the pair's coupling times the time, which on M' = S^dag M S,
+    S = diag(1, i), is the real rotation Q_i M' Q_{i+k}^T,
+    Q_i = [[cos a_i, sin a_i], [-sin a_i, cos a_i]].  The Dissipator over
+    dt/2 maps each component at its own offset, k, k - 1 (for k = 0 the
+    lower side of offset 1), k + 1 and k, at the position of its smaller
+    boson index.  On the b - k unit inputs of the (d, d) component,
+    table[k] sums the (d, d) and (u, u) outputs, for both sides of the
+    offset, and up sums the (u, u) outputs at k = 0.  Odd offsets, which
+    the parity blocks never carry, stay zero.
+    """
+    b = cutoff.bdim
+    n_slices, dt, times = _saba2_slices(tau_c)
+    # one sector carries the coupling of |down, i>-|up, i-1>, the other 0
+    rate = np.zeros(b + 1)
+    rate[1:b] = h_red_sideband(omega_c, cutoff)[1].sum(0)
+    angle = np.multiply.outer(times, rate)[..., None]
+    cos, sin = np.cos(angle), np.sin(angle)
+    sin = np.stack([sin, -sin], 1)    # the signs of Q's rows
+    exp = Dissipator(jumps, dt / 2).table
+    # drop the entries whose products underflow into subnormal numbers,
+    # whose arithmetic is several times slower: at n_max 153 this halves
+    # the build and moves no table entry by 1e-146
+    exp[np.abs(exp) < 1e-150] = 0.0
+    table = np.zeros((b, b, b))
+    for k in range(0, b, 2):
+        m = b - k   # elements on offset k; M_i for i = 0..m
+        cl, sl = cos[:, :m + 1], sin[:, :, None, :m + 1]
+        cr, sr = cos[:, k:], sin[:, :, k:]
+
+        # comp[r, c, i]: the component of row spin r and column spin c
+        # of M_i, whose position is i for r = d and i - 1 for r = u
+        def unitary(comp, j):
+            comp = cl[j] * comp + sl[j] * comp[::-1]
+            return cr[j] * comp + sr[j] * comp[:, ::-1]
+
+        def dissipate(comp):
+            (dd, du), (ud, uu) = comp
+            out = np.zeros_like(comp)
+            (out_dd, out_du), (out_ud, out_uu) = out
+            np.matmul(exp[k, :m, :m], dd[:m], out=out_dd[:m])
+            if k:
+                np.matmul(exp[k - 1, :m + 1, :m + 1], du, out=out_du)
+            else:
+                np.matmul(exp[1, :m - 1, :m - 1], du[1:m], out=out_du[1:m])
+            if m > 1:
+                np.matmul(exp[k + 1, :m - 1, :m - 1], ud[1:m], out=out_ud[1:m])
+            np.matmul(exp[k, :m, :m], uu[1:], out=out_uu[1:])
+            return out
+
+        comp = np.zeros((2, 2, m + 1, m))
+        comp[0, 0, :m] = np.eye(m)
+        comp = _saba2(comp, n_slices, unitary, dissipate)
+        table[k, :m, :m] = comp[0, 0, :m] + comp[1, 1, 1:]
+        if k == 0:
+            up = comp[1, 1].sum(0)
+    return table, up
 
 
 def pulse_kraus(theta, cutoff):
@@ -339,8 +428,8 @@ class CoolingChannel:
     Sequence: red-sideband pulse for tau_c on |down> (x) rho_m -> record the
     spin-up population -> pump the spin back to |down> -> optional recoil
     kick -> noise for the remaining tau_d - tau_c.  The exact pulse is the
-    Kraus pair of pulse_kraus, or with noise a SplitStepPropagator on the
-    parity sectors; its p_up sets the kick.  The linearized pulse, the jump
+    Kraus pair of pulse_kraus, or with noise the per-offset table of
+    pulse_table; its p_up sets the kick.  The linearized pulse, the jump
     sqrt(theta^2/tau_c) a plus the noise, and the idle noise are each one
     Dissipator; without noise the pulse is bosonic amplitude damping,
     eta = exp(-theta^2) (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).
@@ -349,9 +438,7 @@ class CoolingChannel:
     covariant under exp(-i phi n), so the interaction-frame phases of the
     drive and cooling pictures cancel once the spin is pumped, and the free
     evolution exp(-i omega_f n tau_d) of the cycle's cooling window belongs
-    to the drive (protocol._CyclePlan).  The split-step pulse looks up
-    SplitStepPropagator.apply at call time, so that a stage built before a
-    tracer wraps that class still reports through it.
+    to the drive (protocol._CyclePlan).
     """
 
     def __init__(self, cool, cutoff, noise, mode):
@@ -360,16 +447,16 @@ class CoolingChannel:
         self.noise = noise
         noise_jumps = make_noise_jumps(noise, cutoff)
         exact = mode == "exact"
-        if exact and not noise_jumps:
-            kraus = pulse_kraus(0.5 * cool.omega_c * cool.tau_c, cutoff)
-            up = kraus[2]
-            self._pulse = lambda state: (apply_kraus(kraus, state),
+        if exact:
+            if noise_jumps:
+                table, up = pulse_table(cool.omega_c, cool.tau_c, noise_jumps,
+                                        cutoff)
+                pulse = functools.partial(apply_offsets, table)
+            else:
+                kraus = pulse_kraus(0.5 * cool.omega_c * cool.tau_c, cutoff)
+                pulse, up = functools.partial(apply_kraus, kraus), kraus[2]
+            self._pulse = lambda state: (pulse(state),
                                          float(up @ populations(state).real))
-        elif exact:
-            split = SplitStepPropagator(h_red_sideband(cool.omega_c, cutoff),
-                                        noise_jumps, cool.tau_c)
-            # not split.apply, bound now: see the class docstring
-            self._pulse = lambda state: split.apply(state)
         else:
             a, _, _ = build_boson_ops(cutoff)
             cooling = 0.5 * cool.omega_c * np.sqrt(cool.tau_c) * a

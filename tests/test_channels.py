@@ -9,7 +9,8 @@ from iondpt import channels as ch
 from iondpt.channels import (NoiseParams, SplitStepPropagator, CoolingChannel,
                              Dissipator, make_noise_jumps,
                              lindblad_step, unitary_step, pulse_kraus,
-                             apply_kraus, recoil_diffusion, recoil_kick)
+                             apply_kraus, pulse_table, apply_offsets,
+                             recoil_diffusion, recoil_kick)
 
 import helpers
 from helpers import (composite_split_step, embed_down, h_qrm, h_red_sideband,
@@ -246,14 +247,13 @@ def test_exact_stage_kicks_only_with_recoil_on(rates):
                for recoil in (False, True))
     jumps = make_noise_jumps(off.noise, cut)
     if jumps:
-        pulsed, pup = SplitStepPropagator(
-            model.h_red_sideband(COOL.omega_c, cut), jumps,
-            COOL.tau_c).apply(state)
+        table, up = pulse_table(COOL.omega_c, COOL.tau_c, jumps, cut)
+        pulsed = apply_offsets(table, state)
         idle = Dissipator(jumps, COOL.tau_d - COOL.tau_c).apply
     else:
         kraus = pulse_kraus(THETA, cut)
-        pulsed = apply_kraus(kraus, state)
-        pup, idle = float(kraus[2] @ fs.populations(state).real), (lambda r: r)
+        pulsed, up, idle = apply_kraus(kraus, state), kraus[2], (lambda r: r)
+    pup = float(up @ fs.populations(state).real)
     out, pup_off = off.apply(state)
     assert pup_off == pup
     assert np.array_equal(out, idle(pulsed))
@@ -527,6 +527,37 @@ def test_chain_split_step_matches_composite(stage, n_max):
                                embed_down(rho_m))
     assert np.abs(out - fs.trace_out_spin(ref)).max() <= 1e-12
     assert abs(pup - p_up(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("omega_c", [COOL.omega_c, 0.0], ids=["pulse", "zero"])
+@pytest.mark.parametrize("noise", [
+    NoiseParams.from_per_second(heating_per_s=50.0, dephasing_per_s=200.0),
+    NoiseParams(heating_rate=5e-3, dephasing_rate=2e-2)],
+    ids=["workload-noise", "strong-noise"])
+@pytest.mark.parametrize("n_max", [12, 13])
+def test_pulse_table_matches_split_step(n_max, noise, omega_c):
+    """The per-offset table of the noisy exact pulse is the split step of
+    the red sideband on the parity sectors, composed per offset: the same
+    blocks and p_up, a trace-preserving map to states, p_up in [0, 1]."""
+    cut = FockCutoff(n_max)
+    jumps = make_noise_jumps(noise, cut)
+    table, up = pulse_table(omega_c, COOL.tau_c, jumps, cut)
+    split = SplitStepPropagator(model.h_red_sideband(omega_c, cut), jumps,
+                                COOL.tau_c)
+    for rho_m in (even_state(n_max, seed=n_max), pure_even_state(n_max, 1)):
+        state = fs.to_blocks(rho_m)
+        out = apply_offsets(table, state)
+        pup = float(up @ fs.populations(state).real)
+        ref, pup_ref = split.apply(state)
+        assert np.abs(out - ref).max() <= 1e-13
+        assert abs(pup - pup_ref) <= 1e-13
+        assert 0 <= pup <= 1
+        out = fs.from_blocks(out)
+        assert abs(np.trace(out) - 1) <= 1e-13
+        assert np.abs(out - out.conj().T).max() <= 1e-15
+        assert np.linalg.eigvalsh(out).min() >= -1e-13
+    if omega_c == 0:
+        assert np.all(up == 0)
 
 
 def test_zero_amplitude_cooling_pulse_keeps_populations():

@@ -26,8 +26,10 @@ def test_install_and_uninstall(spans, tmp_path):
 
 
 def _check_noisy_split_step_spans(spans, tmp_path, warm):
-    """On a noisy exact run SplitStepPropagator.apply carries both the drive
-    and the cooling pulse, and the tracer splits its time between them."""
+    """On a noisy exact run SplitStepPropagator.apply carries the drive
+    alone: the cooling pulse is the stage's own per-offset table, whose
+    time lands in CoolingChannel.apply, and whose build reads the couplings
+    of h_red_sideband."""
     from iondpt import analysis, protocol
     from iondpt.channels import NoiseParams
     from iondpt.model import CoolParams, DriveParams
@@ -51,14 +53,17 @@ def _check_noisy_split_step_spans(spans, tmp_path, warm):
     recorded = tracer.collect()
     inits = [s for s in recorded if s["name"] == "channels.CoolingChannel.init"]
     assert len(inits) == (0 if warm else 1)
+    names = [s["name"] for s in recorded]
+    assert names.count("model.h_red_sideband") == (0 if warm else 1)
     by_id = {s["id"]: s for s in recorded}
     parents = [by_id[s["parent"]]["name"] for s in recorded
                if s["name"] == "channels.SplitStepPropagator.apply"]
-    assert sorted(parents) == ["channels.CoolingChannel.apply"] * 2 + [
-        "protocol.run"] * 2
+    assert parents == ["protocol.run"] * 2
     metrics = spans.layer_metrics(recorded)
     assert metrics["channels.splitstep.drive_s"] > 0
-    assert metrics["channels.splitstep.dissipation_s"] > 0
+    assert metrics["channels.splitstep.dissipation_s"] == 0
+    assert metrics["channels.cooling.count"] == 2
+    assert metrics["channels.cooling_s"] > 0
 
 
 def test_split_step_spans_under_drive_and_cooling(spans, tmp_path):
@@ -68,7 +73,7 @@ def test_split_step_spans_under_drive_and_cooling(spans, tmp_path):
 
 def test_split_step_spans_from_a_stage_built_before_install(spans, tmp_path):
     """The traced run reuses a cooling stage built before the tracer was
-    installed, and the stage's pulse still reports its spans."""
+    installed, and still reports the stage and the drive."""
     _check_noisy_split_step_spans(spans, tmp_path, warm=True)
 
 
