@@ -36,6 +36,7 @@ GAUSS_NODES = (0.5 - 3 ** 0.5 / 6, 0.5 + 3 ** 0.5 / 6)
 RECOIL_DN = 1.212e-3
 PHOTONS_PER_PUMP = 3   # N_p, pump photons per spin returned to |down>
 THERMAL_NTH = 1e5      # heating-bath occupancy: splits heating into a^dag, a
+_PAD = np.zeros(1)     # the trailing zero of _offset_layout, never written
 
 # CoolingChannel pulse kinds: the exact sideband pulse or the linearized
 # amplitude-damping channel
@@ -211,9 +212,9 @@ def _on_offset_diagonals(rho, b, step):
     """Map the offset diagonals of rho (see _offset_layout) by step(x, ks),
     which takes and returns the real array [k, m, c] of the offsets ks."""
     gather, scatter, ks = _offset_layout(rho.shape, b)
-    x = np.append(np.asarray(rho, dtype=complex).reshape(-1).view(float), 0.0)
-    y = step(x[gather], ks)
-    return y.reshape(-1)[scatter].view(complex).reshape(rho.shape)
+    flat = np.asarray(rho, dtype=complex).reshape(-1).view(float)
+    y = step(np.concatenate((flat, _PAD)).take(gather), ks)
+    return y.take(scatter).view(complex).reshape(rho.shape)
 
 
 def apply_offsets(table, rho):
@@ -402,7 +403,7 @@ def apply_kraus(kraus, state):
 
 def recoil_diffusion(cutoff):
     """eigh of the (symmetric) offset generators of the unit diffusion pair
-    {a^dag, a}, which serves every recoil_kick at this cutoff."""
+    {a^dag, a}, which serves every recoil kick at this cutoff."""
     a, adag, _ = build_boson_ops(cutoff)
     return np.linalg.eigh(_offset_generators([adag, a]))
 
@@ -412,8 +413,6 @@ def recoil_kick(rho_m, dn, diffusion):
     rho_m or its parity blocks: the flow exp(dn G) of the unit diffusion
     pair {a^dag, a}, which raises the mean phonon number by exactly dn,
     from its recoil_diffusion eigendecomposition."""
-    if dn == 0:
-        return rho_m
     w, v = diffusion
     decay = np.exp(dn * w)[..., None]
     vt = v.swapaxes(1, 2)
@@ -426,18 +425,19 @@ class CoolingChannel:
     blocks of the boson state (fockspace.to_blocks).
 
     Sequence: red-sideband pulse for tau_c on |down> (x) rho_m -> record the
-    spin-up population -> pump the spin back to |down> -> optional recoil
-    kick -> noise for the remaining tau_d - tau_c.  The exact pulse is the
-    Kraus pair of pulse_kraus, or with noise the per-offset table of
-    pulse_table; its p_up sets the kick.  The linearized pulse, the jump
-    sqrt(theta^2/tau_c) a plus the noise, and the idle noise are each one
-    Dissipator; without noise the pulse is bosonic amplitude damping,
-    eta = exp(-theta^2) (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).
+    spin-up population up @ populations -> pump the spin back to |down> ->
+    optional recoil kick -> noise for the remaining tau_d - tau_c.  The exact
+    pulse is the Kraus pair of pulse_kraus, or with noise pulse_table's; the
+    linearized pulse (up = 0) is the Dissipator of sqrt(theta^2/tau_c) a and
+    the noise, amplitude damping without noise (Chuang, Leung & Yamamoto,
+    PRA 56, 1114 (1997)).  Past the Kraus pair, the stage is one pass over
+    the even offsets, the ones the parity blocks carry, of tables composed
+    at build: idle @ pulse, or post @ exp(dn w) @ pre with pre = v^T @ pulse
+    and post = idle @ v in the kick's eigenbasis v, w (recoil_diffusion).
 
-    The stage needs no wall clock and no drive: every part of it is
-    covariant under exp(-i phi n), so the interaction-frame phases of the
-    drive and cooling pictures cancel once the spin is pumped, and the free
-    evolution exp(-i omega_f n tau_d) of the cycle's cooling window belongs
+    No wall clock or drive enters: every part commutes with exp(-i phi n),
+    so the frame phases of drive and cooling cancel once the spin is pumped,
+    and the cooling window's free evolution exp(-i omega_f n tau_d) belongs
     to the drive (protocol._CyclePlan).
     """
 
@@ -446,37 +446,40 @@ class CoolingChannel:
             raise ValueError(f"unknown channel mode {mode!r}")
         self.noise = noise
         noise_jumps = make_noise_jumps(noise, cutoff)
-        exact = mode == "exact"
-        if exact:
-            if noise_jumps:
-                table, up = pulse_table(cool.omega_c, cool.tau_c, noise_jumps,
-                                        cutoff)
-                pulse = functools.partial(apply_offsets, table)
-            else:
-                kraus = pulse_kraus(0.5 * cool.omega_c * cool.tau_c, cutoff)
-                pulse, up = functools.partial(apply_kraus, kraus), kraus[2]
-            self._pulse = lambda state: (pulse(state),
-                                         float(up @ populations(state).real))
-        else:
+        self._kraus = pulse = idle = self._w = None
+        if mode == "lindblad":
             a, _, _ = build_boson_ops(cutoff)
             cooling = 0.5 * cool.omega_c * np.sqrt(cool.tau_c) * a
-            prop = Dissipator([cooling] + noise_jumps, cool.tau_c)
-            self._pulse = lambda state: (prop.apply(state), 0.0)
-
-        self._idle = (Dissipator(noise_jumps, cool.tau_d - cool.tau_c).apply
-                      if noise_jumps else None)
-        self._diffusion = (recoil_diffusion(cutoff)
-                           if exact and noise.recoil_enabled else None)
+            pulse = Dissipator([cooling] + noise_jumps, cool.tau_c).table
+            self._up = np.zeros(cutoff.bdim)
+        elif noise_jumps:
+            pulse, self._up = pulse_table(cool.omega_c, cool.tau_c, noise_jumps, cutoff)
+        else:
+            self._kraus = pulse_kraus(0.5 * cool.omega_c * cool.tau_c, cutoff)
+            self._up = self._kraus[2]
+        if noise_jumps:
+            idle = Dissipator(noise_jumps, cool.tau_d - cool.tau_c).table[::2]
+        pulse = None if pulse is None else pulse[::2]
+        self._table = pulse if idle is None else idle @ pulse
+        if mode == "exact" and noise.recoil_enabled:
+            w, v = (x[::2] for x in recoil_diffusion(cutoff))
+            self._w, vt = w[..., None], v.swapaxes(1, 2)
+            self._pre = vt if pulse is None else vt @ pulse
+            self._post = v if idle is None else idle @ v
 
     def apply(self, state):
         """Apply the stage to the parity blocks of rho_m; returns (state,
         spin-up population before pump)."""
-        state, pup = self._pulse(state)
-        if self._diffusion is not None:
+        pup = float(populations(state).real.dot(self._up))
+        if self._kraus is not None:
+            state = apply_kraus(self._kraus, state)
+        if self._w is not None:
             if not 0 <= pup <= 1 + 1e-9:
                 raise ValueError("p_up must lie in [0, 1]")
-            dn = RECOIL_DN * (PHOTONS_PER_PUMP * pup) ** 2
-            state = recoil_kick(state, dn, self._diffusion)
-        if self._idle is not None:
-            state = self._idle(state)
+            decay = np.exp(RECOIL_DN * (PHOTONS_PER_PUMP * pup) ** 2 * self._w)
+            state = _on_offset_diagonals(state, len(state), lambda x, _:
+                                         self._post @ (decay * (self._pre @ x)))
+        elif self._table is not None:
+            state = _on_offset_diagonals(state, len(state),
+                                         lambda x, _: self._table @ x)
         return state, pup

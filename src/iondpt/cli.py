@@ -106,22 +106,21 @@ def cmd_run(args):
 
 
 def cmd_scan(args):
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
     tree, config = _load_config(args)
     spec = scan_spec(tree)
     popts = probe_spec(tree)   # checked whether or not --probe reads it
     popts, readout = (popts, "probe") if args.probe else (None, "direct")
     started = datetime.now(timezone.utc).isoformat()
-    threads = args.threads or os.cpu_count() or 1
     if spec["axis"] == "g":
-        scans = [analysis.g_scan(config, spec["values"], popts, threads=threads)]
+        scans = [analysis.g_scan(config, spec["values"], popts, threads=args.threads)]
     elif spec["axis"] == "R":
         scans = [analysis.r_scan(config, spec["values"], spec["fixed_g"],
-                                 popts, threads=threads)]
+                                 popts, threads=args.threads)]
     else:
         scans = analysis.cooling_scan(config, spec["omega_c"], spec["values"],
-                                      popts, threads=threads)
+                                      popts, threads=args.threads)
 
     stem = _stem(args)
     outputs = {}
@@ -133,9 +132,8 @@ def cmd_scan(args):
         label = f" [{scan.label}]" if scan.label else ""
         print(f"wrote {path}{label}")
     manifest = _write_manifest(
-        args.out_dir, stem, tree, config.seed, started, outputs,
-        readout=readout, processes=analysis.pool_size(threads,
-                                                      len(spec["values"])))
+        args.out_dir, stem, tree, config.seed, started, outputs, readout=readout,
+        processes=analysis.pool_size(args.threads, len(spec["values"])))
     print(f"wrote {manifest}")
     return 0
 
@@ -239,8 +237,8 @@ def build_parser():
     common(p_scan)
     p_scan.add_argument("--probe", action="store_true",
                         help="read out nbar through the probe emulation")
-    p_scan.add_argument("--threads", type=int, default=None,
-                        help="worker processes (default: one per core)")
+    p_scan.add_argument("--threads", type=int, default=1,
+                        help="worker processes (default: 1, serial)")
     p_scan.set_defaults(func=cmd_scan)
 
     p_fit = sub.add_parser("fit", help="fit a stored CSV dataset")

@@ -7,6 +7,7 @@ blocks (to_blocks).  The composite qubit (x) Fock space, ordered
 index s*(n_max+1) + n), is for test references only.
 """
 
+import functools
 import numpy as np
 from dataclasses import dataclass
 
@@ -111,12 +112,15 @@ def from_blocks(state):
     return rho_m
 
 
+@functools.lru_cache(maxsize=8)
+def _diagonal(b, h):
+    """Flat indices of levels 0..b-1 in (b, h) parity blocks."""
+    return np.arange(b) // 2 * (h + 1) + np.arange(b) % 2 * h * h
+
+
 def populations(state):
     """Diagonal of the parity blocks in level order, complex."""
-    even, odd = blocks(state)
-    pops = np.empty(len(state), dtype=complex)
-    pops[::2], pops[1::2] = even.diagonal(), odd.diagonal()
-    return pops
+    return state.take(_diagonal(*state.shape))
 
 
 def tail_mass(pops, k):

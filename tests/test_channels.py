@@ -234,44 +234,62 @@ def test_recoil_kick():
     assert np.allclose(recoil_kick(vac, 0.0, diffusion), vac)
 
 
-@pytest.mark.parametrize("rates", [{}, {"heating_rate": 1e-4,
-                                        "dephasing_rate": 1e-4}],
-                         ids=["kraus", "split-step"])
-def test_exact_stage_kicks_only_with_recoil_on(rates):
-    """With recoil off the exact stage is its pulse and idle alone; with it
-    on, the pulse's p_up sets the kick RECOIL_DN (N_p p_up)^2."""
+WEAK_NOISE = {"heating_rate": 1e-4, "dephasing_rate": 1e-4}
+
+
+@pytest.mark.parametrize("mode, rates", [("exact", {}), ("exact", WEAK_NOISE),
+                                         ("lindblad", {}),
+                                         ("lindblad", WEAK_NOISE)],
+                         ids=["kraus", "split-step", "linearized",
+                              "linearized-noisy"])
+def test_exact_stage_kicks_only_with_recoil_on(mode, rates):
+    """Each stage, recoil off and on, is its pulse, then the kick
+    RECOIL_DN (N_p p_up)^2 that the pulse's p_up sets (exact stages with
+    recoil on only), then the idle noise: the one composed pass matches
+    them applied in turn to 1e-15, and the Kraus pair and its kick exactly.
+    The linearized pulse's p_up is 0."""
     cut = FockCutoff(12)
     state = fs.to_blocks(even_state(cut.n_max, seed=8))
     off, on = (CoolingChannel(COOL, cut, NoiseParams(recoil_enabled=recoil,
-                                                     **rates), "exact")
+                                                     **rates), mode)
                for recoil in (False, True))
     jumps = make_noise_jumps(off.noise, cut)
-    if jumps:
+    idle = (Dissipator(jumps, COOL.tau_d - COOL.tau_c).apply if jumps
+            else (lambda r: r))
+    if mode == "lindblad":
+        cooling = 0.5 * COOL.omega_c * np.sqrt(COOL.tau_c) * boson_ops(cut.n_max)[0]
+        pulsed = Dissipator([cooling] + jumps, COOL.tau_c).apply(state)
+        up = np.zeros(cut.bdim)
+    elif jumps:
         table, up = pulse_table(COOL.omega_c, COOL.tau_c, jumps, cut)
         pulsed = apply_offsets(table, state)
-        idle = Dissipator(jumps, COOL.tau_d - COOL.tau_c).apply
     else:
         kraus = pulse_kraus(THETA, cut)
-        pulsed, up, idle = apply_kraus(kraus, state), kraus[2], (lambda r: r)
+        pulsed, up = apply_kraus(kraus, state), kraus[2]
     pup = float(up @ fs.populations(state).real)
-    out, pup_off = off.apply(state)
-    assert pup_off == pup
-    assert np.array_equal(out, idle(pulsed))
-    dn = ch.RECOIL_DN * (ch.PHOTONS_PER_PUMP * pup) ** 2
-    out, pup_on = on.apply(state)
-    assert pup_on == pup and dn > 1e-5
-    assert np.array_equal(
-        out, idle(recoil_kick(pulsed, dn, recoil_diffusion(cut))))
+    kicked = pulsed
+    if mode == "exact":
+        dn = ch.RECOIL_DN * (ch.PHOTONS_PER_PUMP * pup) ** 2
+        kicked = recoil_kick(pulsed, dn, recoil_diffusion(cut))
+        # the kick is far above the tolerance that tells the two apart
+        assert np.abs(kicked - pulsed).max() > 1e-4
+    tol = 0.0 if mode == "exact" and not jumps else 1e-15
+    for stage, want in ((off, idle(pulsed)), (on, idle(kicked))):
+        out, pup_stage = stage.apply(state)
+        assert pup_stage == pup
+        assert np.abs(out - want).max() <= tol
 
 
 def test_stage_rejects_p_up_outside_unit_interval():
+    """The kick needs p_up in [0, 1]; an unnormalised state in level 4,
+    whose weight in |up> after the pulse is sin^2(2 theta) = 0.345 per
+    unit of trace, takes it past either end."""
     cut = FockCutoff(6)
     stage = CoolingChannel(COOL, cut, NoiseParams(recoil_enabled=True),
                            "exact")
-    state = fs.to_blocks(fock(cut.n_max, 0))
-    stage._pulse = lambda state: (state, 1.5)
-    with pytest.raises(ValueError, match="p_up"):
-        stage.apply(state)
+    for scale in (10.0, -1.0):
+        with pytest.raises(ValueError, match="p_up"):
+            stage.apply(fs.to_blocks(scale * fock(cut.n_max, 4)))
 
 
 def test_linearized_channel_ignores_recoil():

@@ -29,7 +29,8 @@ def _check_noisy_split_step_spans(spans, tmp_path, warm):
     """On a noisy exact run SplitStepPropagator.apply carries the drive
     alone: the cooling pulse is the stage's own per-offset table, whose
     time lands in CoolingChannel.apply, and whose build reads the couplings
-    of h_red_sideband."""
+    of h_red_sideband.  The recoil kick is composed into that pass, so
+    recoil_kick is never called."""
     from iondpt import analysis, protocol
     from iondpt.channels import NoiseParams
     from iondpt.model import CoolParams, DriveParams
@@ -64,6 +65,7 @@ def _check_noisy_split_step_spans(spans, tmp_path, warm):
     assert metrics["channels.splitstep.dissipation_s"] == 0
     assert metrics["channels.cooling.count"] == 2
     assert metrics["channels.cooling_s"] > 0
+    assert metrics["channels.recoil.count"] == 0
 
 
 def test_split_step_spans_under_drive_and_cooling(spans, tmp_path):
