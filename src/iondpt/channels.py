@@ -36,7 +36,6 @@ GAUSS_NODES = (0.5 - 3 ** 0.5 / 6, 0.5 + 3 ** 0.5 / 6)
 RECOIL_DN = 1.212e-3
 PHOTONS_PER_PUMP = 3   # N_p, pump photons per spin returned to |down>
 THERMAL_NTH = 1e5      # heating-bath occupancy: splits heating into a^dag, a
-_PAD = np.zeros(1)     # the trailing zero of _offset_layout, never written
 
 # CoolingChannel pulse kinds: the exact sideband pulse or the linearized
 # amplitude-damping channel
@@ -132,11 +131,11 @@ def lindblad_step(rho, H, jumps, t):
 
 def _offset_generators(jumps):
     """Generators G[k] of the Lindblad flow sum_j D[L_j] on the offset
-    diagonals x_k[m] = rho[m, m+k] and rho[m+k, m] of a boson matrix.
+    diagonals x_k[m] = rho[m, m+k] and rho[m+k, m] of a boson matrix, one
+    real (b-k)-square block per offset k = 0..b-1.
 
     Each jump must be real and single-diagonal, L|n> = c[n] |n + s> (a,
-    a^dag, n): phase-covariant, so dx_k/dt = G[k] x_k.  G[k] is b-by-b and
-    real, zero in its rows and columns m >= b - k."""
+    a^dag, n): phase-covariant, so dx_k/dt = G[k] x_k."""
     b = jumps[0].shape[0]
     k, m = np.indices((b, b))   # offset k, position m on it
     on = m + k < b
@@ -157,7 +156,14 @@ def _offset_generators(jumps):
         ok = on & (src >= 0) & (src + k < b)
         gen[k[ok], m[ok], src[ok]] += c[src[ok]] * c[src[ok] + k[ok]]
     gen[k[on], m[on], m[on]] -= 0.5 * (loss[m[on]] + loss[(m + k)[on]])
-    return gen
+    return [g[:b - k, :b - k] for k, g in enumerate(gen)]
+
+
+def _offset_exponentials(jumps, t, ks):
+    """{k: exp(t G[k])} of the _offset_generators blocks for the offsets ks."""
+    from scipy.linalg import expm
+    gens = _offset_generators(jumps)
+    return {k: expm(t * gens[k]) for k in ks}
 
 
 def sector_propagators(H, t):
@@ -170,75 +176,117 @@ def sector_propagators(H, t):
     return np.stack([(v * np.exp(-1j * w * t)) @ v.T for w, v in eigs], -3)
 
 
+def _fold_groups(b, ks):
+    """The offsets ks packed into groups of b rows, ((k, start), ...) per
+    group: offset k fills the b - k rows from start.  Each group takes the
+    longest offset left, then the longest left that still fits, and so on.
+    Over every offset this pairs k with b - k, and at even b leaves offset
+    b/2 alone in half a group."""
+    left, groups = sorted(ks), []   # ascending k: the longest first
+    while left:
+        room, group = b, []
+        for k in list(left):
+            if b - k <= room:
+                group.append((k, b - room))
+                room -= b - k
+                left.remove(k)
+        groups.append(tuple(group))
+    return tuple(groups)
+
+
 @functools.lru_cache(maxsize=8)
 def _offset_layout(shape, b):
-    """Flat indices into the float view of a state of this shape, plus a
-    trailing zero, that gather its offset diagonals k = ks into the real
-    (k, m, c) layout of _offset_generators (m >= b - k reads the zero), and
-    back; and the slice ks.
+    """Flat indices into the float view of a state of this shape that
+    gather its offset diagonals into the real folded layout [g, r, c], and
+    back; and the groups of _fold_groups.
 
-    The state is the parity blocks of rho_m (fockspace.to_blocks), whose
-    offsets are the even ones, or a stack of b x b blocks whose block index
-    advances with the position m: rho_m is one block, and the (2, b, b)
-    parity sectors of SplitStepPropagator are two, where spin s at boson m
-    sits in sector (s + m) % 2.  c runs over sides, blocks and real and
-    imaginary parts.
+    Row r of group g holds position r - start of the group's offset k that
+    covers it, so one b x b block-diagonal table per group (_fold) maps
+    every offset it holds.  A row that no offset covers reads element 0:
+    every folded table is zero in that row and column.  The state is the
+    parity blocks of rho_m (fockspace.to_blocks), whose offsets are the even
+    ones, or a stack of b x b blocks whose block index advances with the
+    position m: rho_m is one block, and the (2, b, b) parity sectors of
+    SplitStepPropagator are two, where spin s at boson m sits in sector
+    (s + m) % 2.  c runs over sides, blocks and real and imaginary parts.
     """
     size = int(np.prod(shape))
     if shape == (b, (b + 1) // 2):
         # pos[0, i, j] indexes rho_m[i, j] in the blocks, for even i - j
-        ks = slice(None, None, 2)
+        ks = range(0, b, 2)
         pos = from_blocks(np.arange(size).reshape(shape)).real.astype(int)[None]
     elif shape[-2:] == (b, b):
-        ks, pos = slice(None), np.arange(size).reshape(-1, b, b)
+        ks, pos = range(b), np.arange(size).reshape(-1, b, b)
     else:
         raise ValueError(f"expected parity blocks or a stack of {b} x {b} "
                          f"blocks, got {shape}")
-    k, m = np.indices((b, b))[:, ks]
-    on = m + k < b
-    lo, hi = m * on, (m + k) * on
+    groups = _fold_groups(b, ks)
+    k, m = np.zeros((2, len(groups), b), dtype=int)
+    on = np.zeros((len(groups), b), dtype=bool)
+    for g, group in enumerate(groups):
+        for kg, start in group:
+            rows = slice(start, start + b - kg)
+            k[g, rows], m[g, rows], on[g, rows] = kg, np.arange(b - kg), True
     ids = 2 * pos[..., None] + np.arange(2)
-    blk = (np.arange(len(ids))[:, None, None] + lo) % len(ids)
-    gather = np.stack([ids[blk, lo, hi], ids[blk, hi, lo]])
-    gather = gather.transpose(2, 3, 0, 1, 4)   # [k, m, side, block, re/im]
-    gather = np.where(on[..., None], gather.reshape(on.shape + (-1,)), 2 * size)
-    # the padding of odd-b parity blocks reads the last, off-matrix output
-    scatter = np.full(2 * size, gather.size - 1)
-    scatter[gather[on]] = np.arange(gather.size).reshape(gather.shape)[on]
-    return gather, scatter, ks
+    blk = (np.arange(len(ids))[:, None, None] + m) % len(ids)
+    gather = np.stack([ids[blk, m, m + k], ids[blk, m + k, m]])
+    gather = gather.transpose(2, 3, 0, 1, 4)   # [g, r, side, block, re/im]
+    gather = np.where(on[..., None], gather.reshape(on.shape + (-1,)), 0)
+    out = np.arange(gather.size).reshape(gather.shape)
+    scatter = np.full(2 * size, -1)
+    scatter[gather[on]] = out[on]
+    # the padding column of odd-b parity blocks, which no offset covers,
+    # reads the zero output of a row that no offset covers
+    scatter[scatter < 0] = out[~on].ravel()[:1]
+    return gather, scatter, groups
+
+
+def _fold(blocks, shape):
+    """The per-offset blocks of a map, blocks[k] (b-k)-square, or (b-k)
+    vectors of a diagonal, on the block diagonals of one (G, b, b), or
+    (G, b), table for the G groups of a state of this shape (_offset_layout).
+    The product of two tables is the table of the blocks' products."""
+    b, ndim = len(blocks[0]), blocks[0].ndim
+    groups = _offset_layout(shape, b)[2]
+    table = np.zeros((len(groups),) + (b,) * ndim)
+    for g, group in enumerate(groups):
+        for k, start in group:
+            table[(g,) + (slice(start, start + b - k),) * ndim] = blocks[k]
+    return table
 
 
 def _on_offset_diagonals(rho, b, step):
-    """Map the offset diagonals of rho (see _offset_layout) by step(x, ks),
-    which takes and returns the real array [k, m, c] of the offsets ks."""
-    gather, scatter, ks = _offset_layout(rho.shape, b)
+    """Map the offset diagonals of rho by step(x), which takes and returns
+    the real folded array [g, r, c] of _offset_layout."""
+    gather, scatter, _ = _offset_layout(rho.shape, b)
     flat = np.asarray(rho, dtype=complex).reshape(-1).view(float)
-    y = step(np.concatenate((flat, _PAD)).take(gather), ks)
+    y = step(flat.take(gather))
     return y.take(scatter).view(complex).reshape(rho.shape)
 
 
 def apply_offsets(table, rho):
-    """x_k -> table[k] @ x_k on both sides of every offset diagonal x_k of
-    rho (see _offset_layout), for a real (b, b, b) table."""
-    return _on_offset_diagonals(rho, len(table), lambda x, ks: table[ks] @ x)
+    """x_k -> table_k @ x_k on both sides of every offset diagonal x_k of
+    rho, for a real table folded for rho's layout (_fold)."""
+    return _on_offset_diagonals(rho, table.shape[-1], lambda x: table @ x)
 
 
 class Dissipator:
     """Exact Lindblad flow of phase-covariant boson jumps over a time t.
 
-    exp(t G[k]) of each _offset_generators diagonal is computed once on its
-    (b-k)-square block; apply maps either state layout of _offset_layout.
+    blocks[k] = exp(t G[k]) of each _offset_generators block is computed
+    once; apply maps either state layout of _offset_layout, by the blocks
+    folded for that layout on its first use.
     """
 
     def __init__(self, jumps, t):
-        from scipy.linalg import expm
-        gen = _offset_generators(jumps)
-        b = len(gen)
-        self.table = np.array([np.pad(expm(t * g[:b - k, :b - k]), (0, k))
-                               for k, g in enumerate(gen)])
+        self.blocks = _offset_exponentials(jumps, t, range(len(jumps[0])))
+        self._tables = {}
 
     def apply(self, rho):
-        return apply_offsets(self.table, rho)
+        table = self._tables.get(rho.shape)
+        if table is None:
+            table = self._tables[rho.shape] = _fold(self.blocks, rho.shape)
+        return apply_offsets(table, rho)
 
 
 def _saba2_slices(t):
@@ -303,8 +351,9 @@ class SplitStepPropagator:
 def pulse_table(omega_c, tau_c, jumps, cutoff):
     """Real weights (table, up) of the noisy exact cooling pulse and the
     pump: the SplitStepPropagator sequence of h_red_sideband and the jumps
-    over tau_c, composed per even offset, so that the pulse maps the parity
-    blocks by apply_offsets(table, .) with p_up = up @ populations.
+    over tau_c, composed per even offset and folded for the parity blocks,
+    so that the pulse maps them by apply_offsets(table, .) with
+    p_up = up @ populations.
 
     The sideband rotates |down, i> into |up, i-1>, so on offset k it mixes
     the four components of M_i = [[<d,i|.|d,i+k>, <d,i|.|u,i+k-1>],
@@ -315,10 +364,9 @@ def pulse_table(omega_c, tau_c, jumps, cutoff):
     Q_i = [[cos a_i, sin a_i], [-sin a_i, cos a_i]].  The Dissipator over
     dt/2 maps each component at its own offset, k, k - 1 (for k = 0 the
     lower side of offset 1), k + 1 and k, at the position of its smaller
-    boson index.  On the b - k unit inputs of the (d, d) component,
-    table[k] sums the (d, d) and (u, u) outputs, for both sides of the
-    offset, and up sums the (u, u) outputs at k = 0.  Odd offsets, which
-    the parity blocks never carry, stay zero.
+    boson index.  On the b - k unit inputs of the (d, d) component, the
+    block of offset k sums the (d, d) and (u, u) outputs, for both sides of
+    the offset, and up sums the (u, u) outputs at k = 0.
     """
     b = cutoff.bdim
     n_slices, dt, times = _saba2_slices(tau_c)
@@ -328,12 +376,13 @@ def pulse_table(omega_c, tau_c, jumps, cutoff):
     angle = np.multiply.outer(times, rate)[..., None]
     cos, sin = np.cos(angle), np.sin(angle)
     sin = np.stack([sin, -sin], 1)    # the signs of Q's rows
-    exp = Dissipator(jumps, dt / 2).table
-    # drop the entries whose products underflow into subnormal numbers,
-    # whose arithmetic is several times slower: at n_max 153 this halves
-    # the build and moves no table entry by 1e-146
-    exp[np.abs(exp) < 1e-150] = 0.0
-    table = np.zeros((b, b, b))
+    exp = _offset_exponentials(jumps, dt / 2, range(b))
+    for block in exp.values():
+        # drop the entries whose products underflow into subnormal numbers,
+        # whose arithmetic is several times slower: at n_max 153 this halves
+        # the build and moves no table entry by 1e-146
+        block[np.abs(block) < 1e-150] = 0.0
+    table = {}
     for k in range(0, b, 2):
         m = b - k   # elements on offset k; M_i for i = 0..m
         cl, sl = cos[:, :m + 1], sin[:, :, None, :m + 1]
@@ -349,23 +398,23 @@ def pulse_table(omega_c, tau_c, jumps, cutoff):
             (dd, du), (ud, uu) = comp
             out = np.zeros_like(comp)
             (out_dd, out_du), (out_ud, out_uu) = out
-            np.matmul(exp[k, :m, :m], dd[:m], out=out_dd[:m])
+            np.matmul(exp[k], dd[:m], out=out_dd[:m])
             if k:
-                np.matmul(exp[k - 1, :m + 1, :m + 1], du, out=out_du)
+                np.matmul(exp[k - 1], du, out=out_du)
             else:
-                np.matmul(exp[1, :m - 1, :m - 1], du[1:m], out=out_du[1:m])
+                np.matmul(exp[1], du[1:m], out=out_du[1:m])
             if m > 1:
-                np.matmul(exp[k + 1, :m - 1, :m - 1], ud[1:m], out=out_ud[1:m])
-            np.matmul(exp[k, :m, :m], uu[1:], out=out_uu[1:])
+                np.matmul(exp[k + 1], ud[1:m], out=out_ud[1:m])
+            np.matmul(exp[k], uu[1:], out=out_uu[1:])
             return out
 
         comp = np.zeros((2, 2, m + 1, m))
         comp[0, 0, :m] = np.eye(m)
         comp = _saba2(comp, n_slices, unitary, dissipate)
-        table[k, :m, :m] = comp[0, 0, :m] + comp[1, 1, 1:]
+        table[k] = comp[0, 0, :m] + comp[1, 1, 1:]
         if k == 0:
             up = comp[1, 1].sum(0)
-    return table, up
+    return _fold(table, (b, (b + 1) // 2)), up
 
 
 def pulse_kraus(theta, cutoff):
@@ -402,10 +451,11 @@ def apply_kraus(kraus, state):
 
 
 def recoil_diffusion(cutoff):
-    """eigh of the (symmetric) offset generators of the unit diffusion pair
-    {a^dag, a}, which serves every recoil kick at this cutoff."""
+    """(w, v), the eigenvalues w[k] and eigenvectors v[k] of each
+    (symmetric) offset generator block of the unit diffusion pair
+    {a^dag, a}, which serve every recoil kick at this cutoff."""
     a, adag, _ = build_boson_ops(cutoff)
-    return np.linalg.eigh(_offset_generators([adag, a]))
+    return tuple(zip(*map(np.linalg.eigh, _offset_generators([adag, a]))))
 
 
 def recoil_kick(rho_m, dn, diffusion):
@@ -413,11 +463,11 @@ def recoil_kick(rho_m, dn, diffusion):
     rho_m or its parity blocks: the flow exp(dn G) of the unit diffusion
     pair {a^dag, a}, which raises the mean phonon number by exactly dn,
     from its recoil_diffusion eigendecomposition."""
-    w, v = diffusion
+    w, v = (_fold(x, rho_m.shape) for x in diffusion)
     decay = np.exp(dn * w)[..., None]
     vt = v.swapaxes(1, 2)
     return _on_offset_diagonals(rho_m, w.shape[-1],
-                                lambda x, ks: v[ks] @ (decay[ks] * (vt[ks] @ x)))
+                                lambda x: v @ (decay * (vt @ x)))
 
 
 class CoolingChannel:
@@ -430,10 +480,11 @@ class CoolingChannel:
     pulse is the Kraus pair of pulse_kraus, or with noise pulse_table's; the
     linearized pulse (up = 0) is the Dissipator of sqrt(theta^2/tau_c) a and
     the noise, amplitude damping without noise (Chuang, Leung & Yamamoto,
-    PRA 56, 1114 (1997)).  Past the Kraus pair, the stage is one pass over
-    the even offsets, the ones the parity blocks carry, of tables composed
-    at build: idle @ pulse, or post @ exp(dn w) @ pre with pre = v^T @ pulse
-    and post = idle @ v in the kick's eigenbasis v, w (recoil_diffusion).
+    PRA 56, 1114 (1997)).  Past the Kraus pair, the stage is one pass of
+    tables built on the even offsets alone, the ones the parity blocks
+    carry, folded for them (_fold) and composed at build: idle @ pulse, or
+    post @ exp(dn w) @ pre with pre = v^T @ pulse and post = idle @ v in the
+    kick's eigenbasis v, w (recoil_diffusion).
 
     No wall clock or drive enters: every part commutes with exp(-i phi n),
     so the frame phases of drive and cooling cancel once the spin is pumped,
@@ -446,23 +497,26 @@ class CoolingChannel:
             raise ValueError(f"unknown channel mode {mode!r}")
         self.noise = noise
         noise_jumps = make_noise_jumps(noise, cutoff)
+        b = cutoff.bdim
+        shape, even = (b, (b + 1) // 2), range(0, b, 2)
         self._kraus = pulse = idle = self._w = None
         if mode == "lindblad":
             a, _, _ = build_boson_ops(cutoff)
             cooling = 0.5 * cool.omega_c * np.sqrt(cool.tau_c) * a
-            pulse = Dissipator([cooling] + noise_jumps, cool.tau_c).table
-            self._up = np.zeros(cutoff.bdim)
+            pulse = _fold(_offset_exponentials([cooling] + noise_jumps,
+                                               cool.tau_c, even), shape)
+            self._up = np.zeros(b)
         elif noise_jumps:
             pulse, self._up = pulse_table(cool.omega_c, cool.tau_c, noise_jumps, cutoff)
         else:
             self._kraus = pulse_kraus(0.5 * cool.omega_c * cool.tau_c, cutoff)
             self._up = self._kraus[2]
         if noise_jumps:
-            idle = Dissipator(noise_jumps, cool.tau_d - cool.tau_c).table[::2]
-        pulse = None if pulse is None else pulse[::2]
+            idle = _fold(_offset_exponentials(
+                noise_jumps, cool.tau_d - cool.tau_c, even), shape)
         self._table = pulse if idle is None else idle @ pulse
         if mode == "exact" and noise.recoil_enabled:
-            w, v = (x[::2] for x in recoil_diffusion(cutoff))
+            w, v = (_fold(x, shape) for x in recoil_diffusion(cutoff))
             self._w, vt = w[..., None], v.swapaxes(1, 2)
             self._pre = vt if pulse is None else vt @ pulse
             self._post = v if idle is None else idle @ v
@@ -477,9 +531,8 @@ class CoolingChannel:
             if not 0 <= pup <= 1 + 1e-9:
                 raise ValueError("p_up must lie in [0, 1]")
             decay = np.exp(RECOIL_DN * (PHOTONS_PER_PUMP * pup) ** 2 * self._w)
-            state = _on_offset_diagonals(state, len(state), lambda x, _:
+            state = _on_offset_diagonals(state, len(state), lambda x:
                                          self._post @ (decay * (self._pre @ x)))
         elif self._table is not None:
-            state = _on_offset_diagonals(state, len(state),
-                                         lambda x, _: self._table @ x)
+            state = apply_offsets(self._table, state)
         return state, pup

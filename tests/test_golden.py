@@ -1,5 +1,5 @@
 """Golden outputs: the files the CLI writes for every shipped config, and
-for three noisy scans that no shipped config covers, compared cell by cell
+for four noisy scans that no shipped config covers, compared cell by cell
 with the copies in tests/golden/ (manifests excluded).
 
 The integer columns (cycle, cycles, n_max, converged) and JSON text must
@@ -27,11 +27,14 @@ RTOL = 1e-9
 EXACT = {"cycle", "cycles", "n_max", "converged"}
 
 # fig3_r50 at g = 1.3 and 1.5 with heating and dephasing, run to the
-# tolerance stop of the benchmark's noisy scan
+# tolerance stop of the benchmark's noisy scan: (channel, recoil, starting
+# n_max, None for the config's).  The n_max 31 case runs at an even boson
+# dimension, where offset b/2 has no partner in the folded offset pass.
 NOISY = {"heating_per_s": 50.0, "dephasing_per_s": 200.0}
-NOISY_CASES = {"noisy_exact_recoil": ("exact", True),
-               "noisy_exact": ("exact", False),
-               "noisy_linearized": ("lindblad", False)}
+NOISY_CASES = {"noisy_exact_recoil": ("exact", True, None),
+               "noisy_exact": ("exact", False, None),
+               "noisy_linearized": ("lindblad", False, None),
+               "noisy_exact_recoil_even": ("exact", True, 31)}
 
 
 def _commands(work):
@@ -42,12 +45,14 @@ def _commands(work):
     commands = [["run"] + shipped("fig2a"), ["probe-demo"] + shipped("fig2a")]
     commands += [["scan", "--threads", "1"] + shipped(name)
                  for name in ("fig2c", "fig3_r50", "fig4", "sm_s1", "sm_s2")]
-    for name, (channel, recoil) in NOISY_CASES.items():
+    for name, (channel, recoil, n_max) in NOISY_CASES.items():
         tree = yaml.safe_load((ROOT / "configs" / "fig3_r50.yaml").read_text())
         tree.update(channel=channel, noise=dict(NOISY, recoil=recoil),
                     cycles={"mode": "tolerance", "tol": 0.005, "window": 25,
                             "max": 500},
                     scan={"axis": "g", "values": [1.3, 1.5]})
+        if n_max is not None:
+            tree["cutoff"] = {"n_max": n_max}
         path = Path(work) / f"{name}.yaml"
         path.write_text(yaml.safe_dump(tree))
         commands.append(["scan", "--threads", "1", "--config", str(path)])
