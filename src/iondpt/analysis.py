@@ -127,9 +127,13 @@ def _pin_blas():
 def one_blas_thread():
     """Run the block with every OpenBLAS copy in this process on one thread,
     then restore the counts found on entry; does nothing where no copy
-    exposes them.  Every matrix here is at most a few hundred wide, where
-    BLAS threads cost more than they save, and one thread makes the
-    results independent of the host's core count."""
+    exposes them.  Most points run at b <= 69, where a second thread slows
+    the drive's products (88 against 95 us at b = 69 on a 2-vCPU VM); at
+    b = 154 and 231 it speeds them up (600 against 460 us, 1840 against
+    1170 us), a gain the pin gives up, since pool workers would
+    oversubscribe the cores.  One thread also makes the results
+    independent of the host's core count (at b = 154 the drive's output
+    on two threads differs by 1e-16)."""
     libs = _openblas()
     saved = [get() for _, get, _ in libs]
     _pin_blas()

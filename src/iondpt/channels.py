@@ -438,24 +438,27 @@ def pulse_kraus(theta, cutoff):
 def apply_kraus(kraus, state):
     """A0 rho_m A0^dag + A1 rho_m A1^dag on the parity blocks, for the
     weights of pulse_kraus.  A1 lowers n by one, so each block feeds the
-    other."""
+    other: the odd block state[h:, :b - h] into the even one, and the even
+    block below its first row and column into the odd one's first h - 1."""
     keep, move, _ = kraus
+    b, h = state.shape
     out = state * keep
-    (even, odd), (out_even, out_odd), (to_even, to_odd) = map(
-        blocks, (state, out, move))
-    n = len(odd)
-    out_even[:n, :n] += to_even[:n, :n] * odd
-    n = len(even) - 1
-    out_odd[:n, :n] += to_odd[:n, :n] * even[1:, 1:]
+    to_even, to_odd = out[:b - h, :b - h], out[h:2 * h - 1, :h - 1]
+    to_even += move[:b - h, :b - h] * state[h:, :b - h]
+    to_odd += move[h:2 * h - 1, :h - 1] * state[1:h, 1:h]
     return out
 
 
-def recoil_diffusion(cutoff):
-    """(w, v), the eigenvalues w[k] and eigenvectors v[k] of each
-    (symmetric) offset generator block of the unit diffusion pair
-    {a^dag, a}, which serve every recoil kick at this cutoff."""
+def recoil_diffusion(cutoff, ks):
+    """(w, v), {k: eigenvalues} and {k: eigenvectors} of the (symmetric)
+    offset generator blocks of the unit diffusion pair {a^dag, a} for the
+    offsets ks, which serve every recoil kick at this cutoff on a state
+    whose offsets they cover: all of them for rho_m, the even ones for its
+    parity blocks."""
     a, adag, _ = build_boson_ops(cutoff)
-    return tuple(zip(*map(np.linalg.eigh, _offset_generators([adag, a]))))
+    gens = _offset_generators([adag, a])
+    eigs = {k: np.linalg.eigh(gens[k]) for k in ks}
+    return tuple({k: eig[i] for k, eig in eigs.items()} for i in (0, 1))
 
 
 def recoil_kick(rho_m, dn, diffusion):
@@ -499,7 +502,7 @@ class CoolingChannel:
         noise_jumps = make_noise_jumps(noise, cutoff)
         b = cutoff.bdim
         shape, even = (b, (b + 1) // 2), range(0, b, 2)
-        self._kraus = pulse = idle = self._w = None
+        self._kraus = pulse = idle = self._w = self._table = None
         if mode == "lindblad":
             a, _, _ = build_boson_ops(cutoff)
             cooling = 0.5 * cool.omega_c * np.sqrt(cool.tau_c) * a
@@ -514,12 +517,13 @@ class CoolingChannel:
         if noise_jumps:
             idle = _fold(_offset_exponentials(
                 noise_jumps, cool.tau_d - cool.tau_c, even), shape)
-        self._table = pulse if idle is None else idle @ pulse
         if mode == "exact" and noise.recoil_enabled:
-            w, v = (_fold(x, shape) for x in recoil_diffusion(cutoff))
+            w, v = (_fold(x, shape) for x in recoil_diffusion(cutoff, even))
             self._w, vt = w[..., None], v.swapaxes(1, 2)
             self._pre = vt if pulse is None else vt @ pulse
             self._post = v if idle is None else idle @ v
+        else:
+            self._table = pulse if idle is None else idle @ pulse
 
     def apply(self, state):
         """Apply the stage to the parity blocks of rho_m; returns (state,

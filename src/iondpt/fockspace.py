@@ -54,7 +54,7 @@ def build_boson_ops(cutoff):
 
 def expectation(rho, obs):
     """Tr(rho obs) for Hermitian obs; raises on large imaginary residue."""
-    val = np.sum(rho * obs.T)
+    val = complex((rho * obs.T).sum())
     if abs(val.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(val.real)):
         raise StateValidityError(
             f"expectation has imaginary residue {val.imag:.3e}; state corrupted?")
@@ -125,7 +125,7 @@ def populations(state):
 
 def tail_mass(pops, k):
     """Population in Fock indices >= k, from the diagonal of rho_m."""
-    return float(np.real(pops[k:]).sum())
+    return float(pops[k:].real.sum())
 
 
 def check_density_matrix(rho):

@@ -174,23 +174,22 @@ class _CyclePlan:
             # parity sector, P the free evolution.  |down, n> sits in sector
             # n % 2, so block p maps through the columns U[p][:, p::2], whose
             # rows of parity r land in block r after the spin trace: w holds
-            # them, even rows on top.
+            # them, even rows on top, the odd ones zero-padded to h.
             b, h = cutoff.bdim, (cutoff.bdim + 1) // 2
             U = sector_propagators(H, drive.tau)
             rows = np.r_[0:b:2, 1:b:2]
-            w = phase[rows, None] * np.hstack([U[0][rows, 0::2],
-                                               U[1][rows, 1::2]])
-            w_h = w.conj().T.copy()
-            t = np.empty((b, b), dtype=complex)
+            w = np.zeros((2 * h, b), dtype=complex)
+            w[:b] = phase[rows, None] * np.hstack([U[0][rows, 0::2],
+                                                   U[1][rows, 1::2]])
+            w_even, w_odd = w[:, :h], w[:, h:]
+            # w_h[r] = the columns of w^dag that fill output block r
+            w_h = w.conj().reshape(2, h, b).swapaxes(1, 2).copy()
 
             def drive_map(state):
-                out = np.zeros_like(state)
-                (even, odd), (out_even, out_odd) = map(fs.blocks, (state, out))
-                np.matmul(w[:, :h], even, out=t[:, :h])
-                np.matmul(w[:, h:], odd, out=t[:, h:])
-                np.matmul(t[:h], w_h[:, :h], out=out_even)
-                np.matmul(t[h:], w_h[:, h:], out=out_odd)
-                return out
+                t = np.empty((2 * h, b), dtype=complex)
+                np.matmul(w_even, state[:h], out=t[:, :h])
+                np.matmul(w_odd, state[h:, :b - h], out=t[:, h:])
+                return np.matmul(t.reshape(2, h, b), w_h).reshape(2 * h, h)[:b]
 
             self.drive = drive_map
         self.cooling = _cooling_stage(config.cool, cutoff, config.noise,
@@ -206,7 +205,7 @@ def _run_at_cutoff(config, drive, cutoff):
     if fs.tail_mass(fs.populations(state), k_check) > config.cutoff.eps:
         raise _CutoffOverflow
     plan = _CyclePlan(config, drive, cutoff)
-    levels = np.arange(cutoff.bdim)
+    levels = np.arange(cutoff.bdim, dtype=complex)   # no cast per cycle
 
     nbar = np.empty(config.max_cycles)
     pups = np.empty(config.max_cycles)

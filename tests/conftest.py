@@ -77,7 +77,7 @@ def composite_cycles(config, cutoff, n_cycles, t0, chain=True):
     t_idle = cool.tau_d - cool.tau_c
     idle_noise = (on_spin_blocks(Dissipator(jumps, t_idle).apply) if jumps
                   else (lambda r: r))
-    diffusion = recoil_diffusion(cutoff)
+    diffusion = recoil_diffusion(cutoff, range(cutoff.bdim))
 
     def to_frame(rho, t):
         v = np.exp(1j * h0 * t)

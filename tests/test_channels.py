@@ -227,7 +227,7 @@ def test_p_up():
 
 def test_recoil_kick():
     vac = fock(10, 0)
-    diffusion = recoil_diffusion(FockCutoff(10))
+    diffusion = recoil_diffusion(FockCutoff(10), range(11))
     out = recoil_kick(vac, 0.09, diffusion)
     n_t = number(out)
     assert n_t == pytest.approx(0.09, abs=1e-5)
@@ -270,7 +270,8 @@ def test_exact_stage_kicks_only_with_recoil_on(mode, rates):
     kicked = pulsed
     if mode == "exact":
         dn = ch.RECOIL_DN * (ch.PHOTONS_PER_PUMP * pup) ** 2
-        kicked = recoil_kick(pulsed, dn, recoil_diffusion(cut))
+        kicked = recoil_kick(pulsed, dn, recoil_diffusion(
+            cut, range(0, cut.bdim, 2)))
         # the kick is far above the tolerance that tells the two apart
         assert np.abs(kicked - pulsed).max() > 1e-4
     tol = 0.0 if mode == "exact" and not jumps else 1e-15
@@ -631,7 +632,7 @@ def test_recoil_kick_matches_lindblad_step():
     cut = FockCutoff(16)
     a, adag, _ = fs.build_boson_ops(cut)
     rho = random_state(cut.n_max, seed=6)
-    out = recoil_kick(rho, 0.04, recoil_diffusion(cut))
+    out = recoil_kick(rho, 0.04, recoil_diffusion(cut, range(cut.bdim)))
     ref = lindblad_step(rho, None, [0.2 * adag, 0.2 * a], 1.0)
     assert np.abs(out - ref).max() <= 1e-12
 
@@ -670,7 +671,7 @@ def test_parity_blocks_map_like_rho_m(n_max):
     column of an odd dimension stays zero."""
     cut = FockCutoff(n_max)
     rho = even_state(n_max, seed=n_max)
-    diffusion = recoil_diffusion(cut)
+    diffusion = recoil_diffusion(cut, range(cut.bdim))
     maps = [Dissipator(jumps, 4.0).apply
             for jumps in dissipator_jump_sets(cut).values()]
     maps.append(lambda r: recoil_kick(r, 0.04, diffusion))

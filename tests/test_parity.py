@@ -48,17 +48,18 @@ def test_sector_hamiltonians_real_tridiagonal():
             assert np.abs(e - np.diagonal(blocks, 1, 1, 2).real).max() <= tol
 
 
-CASES = pytest.mark.parametrize("mode,noise", [
-    ("exact", NOISE), ("exact", NoiseParams()), ("lindblad", NoiseParams()),
-    ("lindblad", replace(NOISE, recoil_enabled=False))],
-    ids=["exact-noisy", "exact", "linearized", "linearized-noisy"])
+MODES = [("exact", NOISE), ("exact", NoiseParams()),
+         ("lindblad", NoiseParams()),
+         ("lindblad", replace(NOISE, recoil_enabled=False))]
+IDS = ["exact-noisy", "exact", "linearized", "linearized-noisy"]
+CASES = pytest.mark.parametrize("mode,noise", MODES, ids=IDS)
 
 
-def parity_config(mode, noise, cycles):
+def parity_config(mode, noise, cycles, n_max=20):
     return config_with_coupling(ExperimentConfig(
         drive=DRIVE, cool=COOL, noise=noise, channel_mode=mode,
         initial=InitialState(kind="thermal", nbar=1.0), max_cycles=cycles,
-        cutoff=CutoffPolicy(n_max=20, eps=1e-2)), 1.2)
+        cutoff=CutoffPolicy(n_max=n_max, eps=1e-2)), 1.2)
 
 
 @CASES
@@ -75,14 +76,18 @@ def test_odd_offsets_stay_zero(mode, noise):
     assert np.abs(rho[~odd]).max() > 1e-3
 
 
-@CASES
-def test_engine_matches_composite_reference(mode, noise):
+@pytest.mark.parametrize(
+    "mode,noise,n_max", [(*m, 20) for m in MODES] + [(*m, 21) for m in MODES],
+    ids=IDS + [f"{i}-n_max21" for i in IDS])
+def test_engine_matches_composite_reference(mode, noise, n_max):
     """The parity-block engine against the composite reference over 50
-    cycles: nbar and p_up per cycle and the reassembled final rho_m."""
-    cfg = parity_config(mode, noise, 50)
+    cycles: nbar and p_up per cycle and the reassembled final rho_m, at an
+    odd (n_max 20) and an even (n_max 21) boson dimension b, since the
+    parity blocks are padded at odd b alone."""
+    cfg = parity_config(mode, noise, 50, n_max)
     traj = run(cfg)
-    assert traj.n_max == 20
-    nbar, pup, rho = composite_cycles(cfg, FockCutoff(20), 50, 0.0)
+    assert traj.n_max == n_max
+    nbar, pup, rho = composite_cycles(cfg, FockCutoff(n_max), 50, 0.0)
     assert np.abs(traj.nbar - nbar).max() <= 1e-12
     assert np.abs(traj.p_up - pup).max() <= 1e-12
     assert np.abs(traj.final_state - rho).max() <= 1e-12
