@@ -224,13 +224,10 @@ def _least_squares_fit(model, residuals, x0, names, bounds, window=(),
                        sol.fun, window)
 
 
-def fit_exponential_saturation(trajectory_or_xy):
-    """Fit nbar = A exp(-N/N0) + B to a relaxation trajectory."""
-    if hasattr(trajectory_or_xy, "nbar"):
-        x = np.asarray(trajectory_or_xy.cycle, dtype=float)
-        y = np.asarray(trajectory_or_xy.nbar, dtype=float)
-    else:
-        x, y = (np.asarray(v, dtype=float) for v in trajectory_or_xy)
+def fit_exponential_saturation(xy):
+    """Fit nbar = A exp(-N/N0) + B to a relaxation trajectory xy = (N, nbar),
+    run to its optimum: a refit from the result moves no parameter."""
+    x, y = (np.asarray(v, dtype=float) for v in xy)
     if x.size < 10:
         raise FitError("need at least 10 cycles for a saturation fit")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -247,7 +244,8 @@ def fit_exponential_saturation(trajectory_or_xy):
 
     return _least_squares_fit(
         "exponential_saturation", residuals, x0, ["A", "N0", "B"],
-        bounds=([-np.inf, 1e-9, 0.0], [np.inf, np.inf, np.inf]))
+        bounds=([-np.inf, 1e-9, 0.0], [np.inf, np.inf, np.inf]),
+        ftol=1e-15, xtol=1e-15, gtol=1e-15)
 
 
 def extrapolate_saturation(scan):

@@ -1,9 +1,10 @@
 """State-evolution primitives: unitary steps, the exact dissipator of the
-phase-covariant boson jumps (cooling, heating, dephasing, recoil), the
-sideband-cooling channel (exact and linearized) on the boson state and
-noise.  lindblad_step is the exact Lindblad flow of any H and jumps,
-expm_multiply on the sparse superoperator (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)), the reference the other maps are tested against.
+phase-covariant boson jumps (cooling, heating, dephasing, recoil), noise,
+and the cycle's two stage maps on the boson state: the drive and the
+sideband cooling (exact and linearized).  lindblad_step is the exact
+Lindblad flow of any H and jumps, expm_multiply on the sparse
+superoperator (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), the
+reference the other maps are tested against.
 
 Jump operators carry units of 1/sqrt(us); Hamiltonians rad/us.
 """
@@ -348,6 +349,38 @@ class SplitStepPropagator:
         return to_blocks(out[0] + out[1]), float(pup.real)
 
 
+def drive_stage(H, tau, free, jumps):
+    """The cycle's drive stage, a map on the parity blocks of the pumped
+    rho_m: the model Hamiltonian H = (d, e) for tau, with the noise jumps
+    by SplitStepPropagator, then the free evolution P of the cooling window,
+    free[n] = exp(-i omega_f n tau_d) per boson level n."""
+    if jumps:
+        prop = SplitStepPropagator(H, jumps, tau)
+        phases = to_blocks(np.outer(free, free.conj()))
+        return lambda state: prop.apply(state)[0] * phases
+    # rho_m -> P Tr_spin U (|down><down| (x) rho_m) U^dag P^dag per parity
+    # sector.  |down, n> sits in sector n % 2, so block p maps through the
+    # columns U[p][:, p::2], whose rows of parity r land in block r after
+    # the spin trace: w holds them, even rows on top, the odd ones
+    # zero-padded to h.
+    b, h = len(free), (len(free) + 1) // 2
+    U = sector_propagators(H, tau)
+    rows = np.r_[0:b:2, 1:b:2]
+    w = np.zeros((2 * h, b), dtype=complex)
+    w[:b] = free[rows, None] * np.hstack([U[0][rows, 0::2], U[1][rows, 1::2]])
+    w_even, w_odd = w[:, :h], w[:, h:]
+    # w_h[r] = the columns of w^dag that fill output block r
+    w_h = w.conj().reshape(2, h, b).swapaxes(1, 2).copy()
+
+    def drive(state):
+        t = np.empty((2 * h, b), dtype=complex)
+        np.matmul(w_even, state[:h], out=t[:, :h])
+        np.matmul(w_odd, state[h:, :b - h], out=t[:, h:])
+        return np.matmul(t.reshape(2, h, b), w_h).reshape(2 * h, h)[:b]
+
+    return drive
+
+
 def pulse_table(omega_c, tau_c, jumps, cutoff):
     """Real weights (table, up) of the noisy exact cooling pulse and the
     pump: the SplitStepPropagator sequence of h_red_sideband and the jumps
@@ -492,7 +525,7 @@ class CoolingChannel:
     No wall clock or drive enters: every part commutes with exp(-i phi n),
     so the frame phases of drive and cooling cancel once the spin is pumped,
     and the cooling window's free evolution exp(-i omega_f n tau_d) belongs
-    to the drive (protocol._CyclePlan).
+    to the drive (drive_stage).
     """
 
     def __init__(self, cool, cutoff, noise, mode):

@@ -88,7 +88,7 @@ def cmd_run(args):
     outputs = {"trajectory": csv_path}
 
     try:
-        fit = analysis.fit_exponential_saturation(traj)
+        fit = analysis.fit_exponential_saturation((traj.cycle, traj.nbar))
         outputs["relaxation_fit"] = _write_json(
             os.path.join(args.out_dir, f"{stem}_relaxation.json"),
             {"model": fit.model, "params": fit.params, "errors": fit.errors,

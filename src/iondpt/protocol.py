@@ -21,16 +21,11 @@ from .model import (DriveParams, CoolParams, derive, h_qrm,
                     omega_sb_for_coupling)
 # unitary_propagator is not called here: the benchmark's tracer wraps it
 from .channels import (CHANNEL_MODES, NoiseParams, CoolingChannel,
-                       SplitStepPropagator, make_noise_jumps,
-                       sector_propagators, unitary_propagator)
+                       drive_stage, make_noise_jumps, unitary_propagator)
 
 
 class SimulationDiverged(RuntimeError):
     """Cutoff escalation hit the hard ceiling (diverging phonon number)."""
-
-
-class _CutoffOverflow(Exception):
-    """Internal signal: truncation tail mass exceeded eps, re-run larger."""
 
 
 @dataclass(frozen=True)
@@ -148,63 +143,29 @@ def _jittered_drive(config):
 
 @functools.lru_cache(maxsize=1)
 def _cooling_stage(cool, cutoff, noise, mode):
-    """The last plan's cooling stage, kept for the next: a scan's points
+    """The last run's cooling stage, kept for the next: a scan's points
     differ only in the drive.  A point that escalates its cutoff evicts it."""
     return CoolingChannel(cool, cutoff, noise=noise, mode=mode)
 
 
-class _CyclePlan:
-    """The cycle's stage maps at a fixed cutoff: the run's drive for tau
-    followed by the free evolution exp(-i omega_f n tau_d), and the
-    drive-independent cooling stage from _cooling_stage."""
-
-    def __init__(self, config, drive, cutoff):
-        derived = derive(drive)
-        H = h_qrm(derived, cutoff)
-        # free evolution; H0's constant -omega_a/2 on |down, n> cancels in rho_m
-        phase = np.exp(-1j * derived.omega_f * np.arange(cutoff.bdim)
-                       * config.cool.tau_d)
-        noise_jumps = make_noise_jumps(config.noise, cutoff)
-        if noise_jumps:
-            prop = SplitStepPropagator(H, noise_jumps, drive.tau)
-            phases = fs.to_blocks(np.outer(phase, phase.conj()))
-            self.drive = lambda rho_m: prop.apply(rho_m)[0] * phases
-        else:
-            # rho_m -> P Tr_spin U (|down><down| (x) rho_m) U^dag P^dag per
-            # parity sector, P the free evolution.  |down, n> sits in sector
-            # n % 2, so block p maps through the columns U[p][:, p::2], whose
-            # rows of parity r land in block r after the spin trace: w holds
-            # them, even rows on top, the odd ones zero-padded to h.
-            b, h = cutoff.bdim, (cutoff.bdim + 1) // 2
-            U = sector_propagators(H, drive.tau)
-            rows = np.r_[0:b:2, 1:b:2]
-            w = np.zeros((2 * h, b), dtype=complex)
-            w[:b] = phase[rows, None] * np.hstack([U[0][rows, 0::2],
-                                                   U[1][rows, 1::2]])
-            w_even, w_odd = w[:, :h], w[:, h:]
-            # w_h[r] = the columns of w^dag that fill output block r
-            w_h = w.conj().reshape(2, h, b).swapaxes(1, 2).copy()
-
-            def drive_map(state):
-                t = np.empty((2 * h, b), dtype=complex)
-                np.matmul(w_even, state[:h], out=t[:, :h])
-                np.matmul(w_odd, state[h:, :b - h], out=t[:, h:])
-                return np.matmul(t.reshape(2, h, b), w_h).reshape(2 * h, h)[:b]
-
-            self.drive = drive_map
-        self.cooling = _cooling_stage(config.cool, cutoff, config.noise,
-                                      config.channel_mode)
-
-
 def _run_at_cutoff(config, drive, cutoff):
+    """The run at this cutoff, or None once the tail of the top two boson
+    levels exceeds eps, on the initial state or after any cycle."""
+    k_check = cutoff.n_max - 1   # top two boson levels
     try:
         state = prepare_initial(config, cutoff)
-    except ValueError as exc:
-        raise _CutoffOverflow from exc   # thermal tail beyond eps: escalate
-    k_check = cutoff.n_max - 1   # top two boson levels
+    except ValueError:
+        return None   # thermal tail beyond eps
     if fs.tail_mass(fs.populations(state), k_check) > config.cutoff.eps:
-        raise _CutoffOverflow
-    plan = _CyclePlan(config, drive, cutoff)
+        return None
+    derived = derive(drive)
+    # free evolution; H0's constant -omega_a/2 on |down, n> cancels in rho_m
+    free = np.exp(-1j * derived.omega_f * np.arange(cutoff.bdim)
+                  * config.cool.tau_d)
+    drive_map = drive_stage(h_qrm(derived, cutoff), drive.tau, free,
+                            make_noise_jumps(config.noise, cutoff))
+    cooling = _cooling_stage(config.cool, cutoff, config.noise,
+                             config.channel_mode)
     levels = np.arange(cutoff.bdim, dtype=complex)   # no cast per cycle
 
     nbar = np.empty(config.max_cycles)
@@ -213,11 +174,11 @@ def _run_at_cutoff(config, drive, cutoff):
     conv = config.convergence
     tolerance = conv.mode == "tolerance"
     for i in range(config.max_cycles):
-        state, pups[i] = plan.cooling.apply(plan.drive(state))
+        state, pups[i] = cooling.apply(drive_map(state))
         pops = fs.populations(state)
         if fs.tail_mass(pops, k_check) > config.cutoff.eps:
             _cooling_stage.cache_clear()   # free it before the next rung's
-            raise _CutoffOverflow
+            return None
         if config.debug_validate:
             fs.check_density_matrix(fs.from_blocks(state))
         nbar[i] = fs.expectation(pops, levels)
@@ -247,15 +208,13 @@ def run(config):
     drive = _jittered_drive(config)
     policy = config.cutoff
     n_max = policy.n_max
-    while True:
-        try:
-            return _run_at_cutoff(config, drive, FockCutoff(n_max))
-        except _CutoffOverflow:
-            if n_max >= policy.ceiling:
-                raise SimulationDiverged(
-                    f"diverging phonon number: cutoff ceiling {policy.ceiling} "
-                    "reached with truncation tail above eps")
-            n_max = min(int(np.ceil(n_max * policy.growth)), policy.ceiling)
+    while (traj := _run_at_cutoff(config, drive, FockCutoff(n_max))) is None:
+        if n_max >= policy.ceiling:
+            raise SimulationDiverged(
+                f"diverging phonon number: cutoff ceiling {policy.ceiling} "
+                "reached with truncation tail above eps")
+        n_max = min(int(np.ceil(n_max * policy.growth)), policy.ceiling)
+    return traj
 
 
 def config_with_coupling(config, g):

@@ -67,7 +67,7 @@ def test_criterion_01_steady_state_r25(relaxation_runs):
 
 def test_criterion_02_relaxation_scale(relaxation_runs):
     traj = relaxation_runs["thermal"]
-    fit = fit_exponential_saturation(traj)
+    fit = fit_exponential_saturation((traj.cycle, traj.nbar))
     a, n0, b = fit.params["A"], fit.params["N0"], fit.params["B"]
     tol = max(0.1, 0.1 * b)
     near_steady = abs(traj.nbar[49] - b) < tol

@@ -1,14 +1,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from helpers import subprocess_env
 
 from iondpt.model import DriveParams, CoolParams
-from iondpt.probe import ProbeParams
+from iondpt.probe import ProbeParams, read_table
 from iondpt.protocol import ExperimentConfig, InitialState
 from iondpt import analysis as an
 from iondpt.analysis import (ScanResult, FitError, g_scan, r_scan,
@@ -169,6 +171,19 @@ def test_fit_exponential_saturation_constant():
     fit = fit_exponential_saturation((x, np.full(50, 2.5)))
     assert abs(fit.params["A"]) < 1e-6
     assert fit.params["B"] == pytest.approx(2.5, abs=1e-6)
+
+
+def test_fit_exponential_saturation_stops_at_its_optimum():
+    """A refit from the fit's result, at tolerances near round-off, leaves
+    N0 in place on the relaxation trajectory that iondpt run fits."""
+    _, data = read_table(Path(__file__).parent / "golden" / "fig2a_trajectory.csv")
+    x, y = data[:, 0], data[:, 1]
+    fit = fit_exponential_saturation((x, y))
+    sol = least_squares(lambda p: p[0] * np.exp(-x / p[1]) + p[2] - y,
+                        [fit.params[k] for k in ("A", "N0", "B")],
+                        bounds=([-np.inf, 1e-9, 0.0], [np.inf] * 3),
+                        ftol=1e-15, xtol=1e-15, gtol=1e-15)
+    assert abs(sol.x[1] / fit.params["N0"] - 1) < 1e-9
 
 
 def test_extrapolate_saturation_round_trip():

@@ -237,6 +237,11 @@ def test_recoil_kick():
 WEAK_NOISE = {"heating_rate": 1e-4, "dephasing_rate": 1e-4}
 
 
+def test_cooling_channel_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown channel mode 'rk4'"):
+        CoolingChannel(COOL, FockCutoff(5), NoiseParams(), mode="rk4")
+
+
 @pytest.mark.parametrize("mode, rates", [("exact", {}), ("exact", WEAK_NOISE),
                                          ("lindblad", {}),
                                          ("lindblad", WEAK_NOISE)],

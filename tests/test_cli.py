@@ -94,6 +94,23 @@ def test_missing_and_malformed_config(tmp_path):
     assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
 
 
+def test_run_without_config_is_config_error(tmp_path):
+    assert main(["run", "--out-dir", str(tmp_path)]) == 2
+
+
+def test_run_too_short_to_fit_skips_relaxation(tmp_path):
+    """Five cycles are too few for the relaxation fit: the run still writes
+    its trajectory and manifest, and no relaxation summary."""
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text(BASE_YAML.replace("max: 40", "max: 5"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert len(read_rows(out / "short_trajectory.csv")) == 6
+    meta = json.loads((out / "short_manifest.json").read_text())
+    assert list(meta["outputs"]) == ["trajectory"]
+    assert not (out / "short_relaxation.json").exists()
+
+
 def test_simulation_abort_exit_code(base_config, tmp_path):
     cfg = tmp_path / "tiny.yaml"
     cfg.write_text(BASE_YAML.replace("kind: ground",

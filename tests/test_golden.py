@@ -117,7 +117,8 @@ def _deviation(new, old):
                                np.abs(got - want) / np.abs(want))
         if rel.size and rel.max() > worst[0]:
             i = int(rel.argmax())
-            worst = (float(rel[i]), f"{name}[{i}]: {got[i]!r} vs {want[i]!r}")
+            worst = (float(rel[i]),
+                     f"{name}[{i}]: {float(got[i])!r} vs {float(want[i])!r}")
     return worst
 
 
@@ -132,11 +133,26 @@ def test_outputs_match_golden_files(tmp_path):
     assert not failed, f"outputs off the golden files (relative {RTOL}): {failed}"
 
 
+def _change(new, old):
+    """What regenerating old as new moves: "identical" bytes, or the
+    largest relative change of a cell and where it is."""
+    if not old.exists():
+        return "new"
+    if new.read_bytes() == old.read_bytes():
+        return "identical"
+    rel, where = _deviation(new, old)
+    return f"relative {rel:.3g} at {where}" if where else "cells equal"
+
+
 if __name__ == "__main__":
     import shutil
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         outputs = write_outputs(tmp)
+        for name in sorted({p.name for p in GOLDEN.glob("*")} - outputs.keys()):
+            print(f"{name}: removed", file=sys.stderr)
+        for name, path in outputs.items():
+            print(f"{name}: {_change(path, GOLDEN / name)}", file=sys.stderr)
         shutil.rmtree(GOLDEN, ignore_errors=True)
         GOLDEN.mkdir()
         for name, path in outputs.items():

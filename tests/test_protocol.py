@@ -5,11 +5,13 @@ from dataclasses import replace
 from iondpt.fockspace import FockCutoff
 from iondpt import fockspace as fs
 from iondpt.model import DriveParams, CoolParams, derive
-from iondpt.channels import NoiseParams, unitary_propagator
+from iondpt import model
+from iondpt.channels import (NoiseParams, drive_stage, make_noise_jumps,
+                             unitary_propagator)
 from iondpt.protocol import (ExperimentConfig, InitialState, Convergence,
                              CutoffPolicy, SimulationDiverged, prepare_initial,
                              run, config_with_coupling, config_with_ratio,
-                             _CyclePlan, _cooling_stage, _jittered_drive)
+                             _cooling_stage)
 
 from helpers import h_qrm, on_parity_blocks
 
@@ -31,6 +33,10 @@ def test_config_validation():
         make_config(channel_mode="hybrid")
     with pytest.raises(ValueError):
         InitialState(kind="coherent")
+    with pytest.raises(ValueError, match="nbar"):
+        InitialState(nbar=-1)
+    with pytest.raises(ValueError, match="unknown convergence mode"):
+        Convergence(mode="adaptive")
     with pytest.raises(ValueError):
         Convergence(mode="tolerance", tol=0.0)
     with pytest.raises(ValueError):
@@ -140,6 +146,26 @@ def test_cutoff_escalation():
     assert traj.n_max > 5  # escalated past the inadequate start
 
 
+def test_initial_state_tail_escalates_before_any_build(monkeypatch):
+    """A thermal start with nbar 1 at n_max 10 leaves 4.9e-4 beyond the
+    cutoff, which thermal_state accepts, but 1.47e-3 in the top two levels,
+    above eps: the run moves to n_max 15 before it builds a drive at 10,
+    and with no coupling the cycles only cool."""
+    from iondpt import protocol
+    built = []
+
+    def h_qrm(derived, cutoff):
+        built.append(cutoff.n_max)
+        return model.h_qrm(derived, cutoff)
+
+    monkeypatch.setattr(protocol, "h_qrm", h_qrm)
+    cfg = make_config(drive=DriveParams.from_khz(26.0, 24.0, 0.0, 20.0),
+                      initial=InitialState(kind="thermal", nbar=1.0),
+                      max_cycles=5, cutoff=CutoffPolicy(n_max=10))
+    assert run(cfg).n_max == 15
+    assert built == [15]
+
+
 def test_divergence_reported():
     cfg = make_config(initial=InitialState(kind="thermal", nbar=5.0),
                       max_cycles=5,
@@ -207,13 +233,20 @@ def test_wall_clock_origin_invariance(mode, noisy, composite_reference):
         assert np.abs(ref - traj.nbar).max() <= 1e-12
 
 
+def drive_of(cfg, cut):
+    """The drive stage of a run of cfg at cutoff cut."""
+    derived = derive(cfg.drive)
+    free = np.exp(-1j * derived.omega_f * np.arange(cut.bdim) * cfg.cool.tau_d)
+    return drive_stage(model.h_qrm(derived, cut), cfg.drive.tau, free,
+                       make_noise_jumps(cfg.noise, cut))
+
+
 @pytest.mark.parametrize("noisy", [False, True], ids=["quiet", "noisy"])
 def test_drive_stage_trace_and_positivity(noisy):
     cut = FockCutoff(20)
     cfg = make_config(noise=NOISE if noisy else NoiseParams())
-    plan = _CyclePlan(cfg, cfg.drive, cut)
     rho = fs.thermal_state(2.0, cut, eps=1e-3)
-    out = on_parity_blocks(plan.drive)(rho)
+    out = on_parity_blocks(drive_of(cfg, cut))(rho)
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(out)[0] > -1e-12
     assert np.abs(out - out.conj().T).max() < 1e-14
@@ -237,13 +270,14 @@ def test_noise_free_drive_map_matches_dense_unitary(n_max):
     rho = 0.5 * (rho + z[:, None] * rho * z[None, :]) / np.trace(rho).real
     ref = sum(u @ rho @ u.conj().T for u in (U[:b, :b], U[b:, :b]))
     ref = P[:, None] * ref * P.conj()[None, :]
-    out = on_parity_blocks(_CyclePlan(make_config(), DRIVE, cut).drive)(rho)
+    out = on_parity_blocks(drive_of(make_config(), cut))(rho)
     assert np.abs(out - ref).max() <= 1e-12
 
 
 def stage(cfg, n_max=12):
-    """The cooling stage that a plan of cfg takes at cutoff n_max."""
-    return _CyclePlan(cfg, _jittered_drive(cfg), FockCutoff(n_max)).cooling
+    """The cooling stage that a run of cfg takes at cutoff n_max."""
+    return _cooling_stage(cfg.cool, FockCutoff(n_max), cfg.noise,
+                          cfg.channel_mode)
 
 
 def test_scan_points_share_one_cooling_stage():
