@@ -60,15 +60,20 @@ class NoiseParams:
     def __post_init__(self):
         if min(self.heating_rate, self.dephasing_rate) < 0:
             raise ValueError("noise rates must be >= 0")
+        if not isinstance(self.recoil_enabled, bool):
+            raise ValueError(f"recoil: expected true/false, "
+                             f"got {self.recoil_enabled!r}")
 
     @property
     def any_decoherence(self):
         return self.heating_rate > 0 or self.dephasing_rate > 0
 
     @classmethod
-    def from_per_second(cls, heating_per_s=0.0, dephasing_per_s=0.0, **kw):
-        return cls(heating_rate=per_second(heating_per_s),
-                   dephasing_rate=per_second(dephasing_per_s), **kw)
+    def from_per_second(cls, heating_per_s=0.0, dephasing_per_s=0.0,
+                        recoil=False):
+        """From the noise: keys, under their config names."""
+        return cls(per_second(heating_per_s), per_second(dephasing_per_s),
+                   recoil)
 
 
 def make_noise_jumps(noise, cutoff):
@@ -161,10 +166,14 @@ def _offset_generators(jumps):
 
 
 def _offset_exponentials(jumps, t, ks):
-    """{k: exp(t G[k])} of the _offset_generators blocks for the offsets ks."""
+    """{k: exp(t G[k])} of the _offset_generators blocks for the offsets ks,
+    with the negligible entries set to 0: their products underflow into
+    subnormal numbers, whose arithmetic is several times slower, and at
+    n_max 153 dropping them moves no table entry by 1e-146."""
     from scipy.linalg import expm
     gens = _offset_generators(jumps)
-    return {k: expm(t * gens[k]) for k in ks}
+    exp = (expm(t * gens[k]) for k in ks)
+    return {k: np.where(np.abs(e) < 1e-150, 0.0, e) for k, e in zip(ks, exp)}
 
 
 def sector_propagators(H, t):
@@ -410,11 +419,6 @@ def pulse_table(omega_c, tau_c, jumps, cutoff):
     cos, sin = np.cos(angle), np.sin(angle)
     sin = np.stack([sin, -sin], 1)    # the signs of Q's rows
     exp = _offset_exponentials(jumps, dt / 2, range(b))
-    for block in exp.values():
-        # drop the entries whose products underflow into subnormal numbers,
-        # whose arithmetic is several times slower: at n_max 153 this halves
-        # the build and moves no table entry by 1e-146
-        block[np.abs(block) < 1e-150] = 0.0
     table = {}
     for k in range(0, b, 2):
         m = b - k   # elements on offset k; M_i for i = 0..m

@@ -100,19 +100,6 @@ def _build(where, factory, **kw):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _noise(tree):
-    sec = _mapping(tree, "noise", "config", required=False)
-    recoil = {}
-    if "recoil" in sec:
-        if not isinstance(sec["recoil"], bool):
-            raise ConfigError(f"noise.recoil: expected true/false, "
-                              f"got {sec['recoil']!r}")
-        recoil["recoil_enabled"] = sec["recoil"]
-    return _section(tree, "noise", NoiseParams.from_per_second,
-                    ("heating_per_s", "dephasing_per_s"),
-                    read_elsewhere=("recoil",), **recoil)
-
-
 def load_tree(path):
     try:
         with open(path) as fh:
@@ -153,7 +140,9 @@ def experiment_from_tree(tree):
                         "tau_us"), required=True),
         cool=_section(tree, "cool", CoolParams.from_khz,
                       ("omega_c_khz", "tau_c_us", "tau_d_us"), required=True),
-        noise=_noise(tree),
+        noise=_section(tree, "noise", NoiseParams.from_per_second,
+                       ("heating_per_s", "dephasing_per_s"),
+                       as_is=("recoil",)),
         initial=_section(tree, "initial", InitialState, ("nbar",),
                          as_is=("kind",)),
         convergence=_section(tree, "cycles", Convergence, ("tol",),

@@ -225,7 +225,7 @@ def test_criterion_12_property_suite(composite_reference):
         max_cycles=10, debug_validate=True,
         noise=NoiseParams.from_per_second(heating_per_s=50.0,
                                           dephasing_per_s=200.0,
-                                          recoil_enabled=True))
+                                          recoil=True))
     run(noisy)  # raises on any validity violation
     checks.append(("validity", True))
 

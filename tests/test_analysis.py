@@ -287,6 +287,9 @@ def test_crossover_midpoint():
     flat = make_scan(g, np.full(11, 0.1), axis="g")
     with pytest.raises(FitError):
         crossover_midpoint(flat, level=5.0)
+    y[4] = np.nan
+    with pytest.raises(FitError, match="finite"):
+        crossover_midpoint(make_scan(g, y, axis="g"))
 
 
 def test_scan_csv_round_trip(tmp_path):
@@ -306,3 +309,6 @@ def test_scan_csv_round_trip(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError):
             scan_from_csv(bad)
+    bad.write_text(header)
+    with pytest.raises(ValueError, match="empty scan"):
+        scan_from_csv(bad)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,11 @@ def test_noise_params_validation_and_units():
     assert n.dephasing_rate == pytest.approx(2e-4)
     assert n.any_decoherence
     assert not NoiseParams().any_decoherence
+    with pytest.raises(ValueError, match="recoil"):
+        NoiseParams(recoil_enabled=1)
+    with pytest.raises(ValueError, match="recoil"):
+        NoiseParams.from_per_second(recoil="yes")
+    assert NoiseParams.from_per_second(recoil=True).recoil_enabled
 
 
 def test_unitary_step_phase_and_energy():
@@ -371,7 +378,7 @@ def test_repeated_cooling_monotone_to_vacuum():
 def test_channels_preserve_density_matrix_validity():
     cut = FockCutoff(30)
     noise = NoiseParams.from_per_second(heating_per_s=50.0, dephasing_per_s=200.0,
-                                        recoil_enabled=True)
+                                        recoil=True)
     rho = fs.thermal_state(2.0, cut, eps=1e-4)
     out_e, pup = cool_exact(rho, noise=noise)
     fs.check_density_matrix(out_e)
@@ -412,7 +419,7 @@ def test_noise_free_cooling_stage_trace_and_positivity(mode):
 
 STAGE_NOISE = NoiseParams.from_per_second(heating_per_s=5e3,
                                           dephasing_per_s=2e4,
-                                          recoil_enabled=True)
+                                          recoil=True)
 
 
 @pytest.mark.parametrize("mode, noise", [
@@ -584,6 +591,39 @@ def test_pulse_table_matches_split_step(n_max, noise, omega_c):
         assert np.all(up == 0)
 
 
+def test_pulse_table_unchanged_at_n_max_12():
+    """The noisy exact pulse's table and up row at n_max 12 under strong
+    noise match the stored copy in tests/data."""
+    cut = FockCutoff(12)
+    jumps = make_noise_jumps(NoiseParams(heating_rate=5e-3,
+                                         dephasing_rate=2e-2), cut)
+    table, up = pulse_table(COOL.omega_c, COOL.tau_c, jumps, cut)
+    ref = np.load(Path(__file__).parent / "data" / "pulse_table_n12.npz")
+    np.testing.assert_allclose(table, ref["table"], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(up, ref["up"], rtol=1e-12, atol=0)
+
+
+def test_offset_exponentials_drop_negligible_entries():
+    """At n_max 60 the split step's half-slice exponentials of the workload
+    noise hold entries below 1e-150; every offset table sets them to 0 and
+    keeps the rest."""
+    from scipy.linalg import expm
+    cut = FockCutoff(60)
+    jumps = make_noise_jumps(NoiseParams.from_per_second(
+        heating_per_s=50.0, dephasing_per_s=200.0), cut)
+    t = ch.SLICE_US / 2
+    gens = ch._offset_generators(jumps)
+    exp = ch._offset_exponentials(jumps, t, range(cut.bdim))
+    dropped = 0
+    for k, block in exp.items():
+        raw = expm(t * gens[k])
+        small = np.abs(raw) < 1e-150
+        dropped += np.count_nonzero(raw[small])
+        assert not np.any(block[small])
+        assert np.array_equal(block[~small], raw[~small])
+    assert dropped > 0
+
+
 def test_zero_amplitude_cooling_pulse_keeps_populations():
     cool0 = CoolParams.from_khz(0.0, 5.0, 13.0)
     rho = fs.thermal_state(2.0, FockCutoff(25), eps=5e-3)
@@ -599,7 +639,7 @@ def test_zero_amplitude_noisy_stage_is_pure_noise(mode):
     cut = FockCutoff(19)
     noise = NoiseParams.from_per_second(heating_per_s=50.0,
                                         dephasing_per_s=200.0,
-                                        recoil_enabled=True)
+                                        recoil=True)
     cool0 = CoolParams.from_khz(0.0, 5.0, 13.0)
     state = fs.to_blocks(even_state(cut.n_max, seed=19))
     out, pup = CoolingChannel(cool0, cut, noise, mode).apply(state)
@@ -741,6 +781,14 @@ def test_folded_pass_matches_per_offset_loop(b):
     assert np.all(out[b // 2 + 1:, b // 2:] == 0)   # the padding of odd b
 
 
+def test_split_step_rejects_negative_time():
+    cut = FockCutoff(4)
+    jumps = make_noise_jumps(NoiseParams(heating_rate=1e-3), cut)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        SplitStepPropagator(model.h_red_sideband(COOL.omega_c, cut), jumps,
+                            -1.0)
+
+
 def test_dissipator_rejects_non_covariant_jump():
     a, adag, _ = boson_ops(6)
     with pytest.raises(ValueError):
@@ -758,7 +806,7 @@ def test_split_step_slice_error(monkeypatch):
         drive=DriveParams.from_khz(51.0, 49.0, 10.0, 20.0), cool=COOL,
         noise=NoiseParams.from_per_second(heating_per_s=50.0,
                                           dephasing_per_s=200.0,
-                                          recoil_enabled=True),
+                                          recoil=True),
         initial=InitialState(kind="thermal", nbar=1.0), max_cycles=8,
         cutoff=CutoffPolicy(n_max=16, eps=1e-2)), 1.3)
     coarse = run(cfg).nbar

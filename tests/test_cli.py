@@ -210,6 +210,12 @@ def test_fit_populations_requires_config(tmp_path, capsys):
     assert main(["fit", str(data), "--model", "populations", "--config",
                  str(missing), "--out-dir", str(tmp_path)]) == 2
     assert f"config file not found: {missing}" in capsys.readouterr().err
+    # a config without probe.omega_probe_khz gives the fit no Rabi frequency
+    cfg = tmp_path / "no_probe.yaml"
+    cfg.write_text(BASE_YAML)
+    assert main(["fit", str(data), "--model", "populations", "--config",
+                 str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "probe.omega_probe_khz is required" in capsys.readouterr().err
 
 
 def test_fit_error_names_data_path_once(tmp_path, capsys):

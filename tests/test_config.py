@@ -112,6 +112,8 @@ def test_type_diagnostics():
     tree["drive"]["tau_us"] = "twenty"
     with pytest.raises(ConfigError, match="tau_us"):
         experiment_from_tree(tree)
+    with pytest.raises(ConfigError, match="noise: expected a mapping"):
+        experiment_from_tree(minimal_tree(noise=[50.0, 200.0]))
 
 
 def test_invalid_physics_reported_as_config_error():

@@ -33,6 +33,9 @@ def test_probe_scan_validation():
         ProbeScan(times=[2.0, 1.0], p_up=[0.5, 0.5], omega_probe=OMEGA)
     with pytest.raises(ValueError):
         simulate_probe(np.ones((1, 1)), OMEGA, default_probe_times(OMEGA))
+    for omega in (0.0, -OMEGA):
+        with pytest.raises(ValueError, match="omega_probe"):
+            simulate_probe(fock_diag([1.0]), omega, [1.0])
 
 
 @pytest.mark.parametrize("setting,match", [

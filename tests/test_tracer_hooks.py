@@ -40,7 +40,7 @@ def _check_noisy_split_step_spans(spans, tmp_path, warm):
         cool=CoolParams.from_khz(20.0, 5.0, 13.0),
         noise=NoiseParams.from_per_second(heating_per_s=50.0,
                                           dephasing_per_s=200.0,
-                                          recoil_enabled=True),
+                                          recoil=True),
         max_cycles=2, cutoff=CutoffPolicy(n_max=12, eps=1e-2))
     if warm:
         analysis.run(cfg)
