@@ -3,14 +3,17 @@
     PYTHONPATH=src python bench/stages.py
 
 For each stage kind at each cutoff, on fig3_r50 at g = 1.5, it runs
-CYCLES cycles from the config's initial state, --repeats times, and
-records the drive, cooling and bookkeeping microseconds per call and the
-drive and cooling builds in ms, each as the min and median over the
-repeats, and the nbar after the cycles, the equal-results anchor.  It also
-records each module's import time in fresh processes, the warm compute of
-each shipped config's command (serial, one process, min and median over
-the repeats), the host and the git revision.  Stage work runs on one BLAS
-thread, as every iondpt command does.
+CYCLES cycles from the config's initial state with the engine's own
+drive stage, and records the drive, cooling and bookkeeping microseconds
+per call and the drive and cooling builds in ms, and the nbar after the
+cycles, the equal-results anchor.  Each of the --repeats rounds runs
+every kind at every cutoff once, so that host drift spreads over all rows
+instead of landing on one; a row reports the min, the quartiles q1 and
+q3 and the median over the rounds.  It also records each module's import
+time in fresh processes, the warm compute of each shipped config's
+command (serial, one process, the same statistics over the repeats), the
+host and the git revision.  Stage work runs on one BLAS thread, as every
+iondpt command does.
 
 No number in the file is gated.  A perf change cites its rows, parent
 against change, from runs of this script in one session (README).
@@ -33,11 +36,10 @@ import scipy
 
 from iondpt import analysis, cli
 from iondpt import fockspace as fs
-from iondpt.channels import CoolingChannel, drive_stage, make_noise_jumps
+from iondpt.channels import CoolingChannel
 from iondpt.config import experiment_from_tree, load_tree
 from iondpt.fockspace import FockCutoff
-from iondpt.model import derive, h_qrm
-from iondpt.protocol import config_with_coupling, prepare_initial
+from iondpt.protocol import _drive_map, config_with_coupling, prepare_initial
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -61,22 +63,27 @@ COMMANDS = {"fig2a_run": ["run", "fig2a"],
 
 
 def stats(samples, digits):
-    return {"min": round(float(np.min(samples)), digits),
-            "median": round(float(np.median(samples)), digits)}
+    """Min, quartiles and median of the samples."""
+    return {key: round(float(value), digits) for key, value in zip(
+        ("min", "q1", "median", "q3"),
+        np.percentile(samples, [0, 25, 50, 75]))}
+
+
+def kind_config(kind):
+    """fig3_r50 at coupling G with this stage kind's channel and noise."""
+    channel, noise = KINDS[kind]
+    tree = load_tree(CONFIGS / "fig3_r50.yaml")
+    return config_with_coupling(experiment_from_tree(
+        dict(tree, channel=channel, noise=noise)), G)
 
 
 def stage_repeat(config, n_max):
     """(build ms of drive and cooling, per-call us of drive, cooling and
-    bookkeeping, nbar) of one run of CYCLES cycles at this cutoff, set up as
-    protocol._run_at_cutoff sets it up."""
+    bookkeeping, nbar) of one run of CYCLES cycles at this cutoff."""
     clock = time.perf_counter
     cutoff = FockCutoff(n_max)
-    drive = derive(config.drive)
-    free = np.exp(-1j * drive.omega_f * np.arange(cutoff.bdim)
-                  * config.cool.tau_d)
     t0 = clock()
-    drive_map = drive_stage(h_qrm(drive, cutoff), config.drive.tau, free,
-                            make_noise_jumps(config.noise, cutoff))
+    drive_map = _drive_map(config, cutoff)
     t1 = clock()
     cooling = CoolingChannel(config.cool, cutoff, config.noise,
                              config.channel_mode)
@@ -100,25 +107,24 @@ def stage_repeat(config, n_max):
 
 
 def stage_costs(n_maxes, repeats):
-    base = load_tree(CONFIGS / "fig3_r50.yaml")
-    out = {}
-    for kind, (channel, noise) in KINDS.items():
-        config = config_with_coupling(experiment_from_tree(
-            dict(base, channel=channel, noise=noise)), G)
-        out[kind] = {}
-        for n_max in n_maxes:
-            runs = [stage_repeat(config, n_max) for _ in range(repeats)]
-            builds, calls, nbars = (np.array(x) for x in zip(*runs))
-            if np.ptp(nbars):
-                raise RuntimeError(f"{kind} at n_max {n_max}: nbar differs "
-                                   f"between repeats: {nbars}")
-            out[kind][str(n_max)] = {
-                "drive_us": stats(calls[:, 0], 2),
-                "cooling_us": stats(calls[:, 1], 2),
-                "bookkeeping_us": stats(calls[:, 2], 2),
-                "drive_build_ms": stats(builds[:, 0], 3),
-                "cooling_build_ms": stats(builds[:, 1], 3),
-                "nbar": float(nbars[0])}
+    configs = {kind: kind_config(kind) for kind in KINDS}
+    runs = {(kind, n_max): [] for kind in KINDS for n_max in n_maxes}
+    for _ in range(repeats):
+        for (kind, n_max), samples in runs.items():
+            samples.append(stage_repeat(configs[kind], n_max))
+    out = {kind: {} for kind in KINDS}
+    for (kind, n_max), samples in runs.items():
+        builds, calls, nbars = (np.array(x) for x in zip(*samples))
+        if np.ptp(nbars):
+            raise RuntimeError(f"{kind} at n_max {n_max}: nbar differs "
+                               f"between repeats: {nbars}")
+        out[kind][str(n_max)] = {
+            "drive_us": stats(calls[:, 0], 2),
+            "cooling_us": stats(calls[:, 1], 2),
+            "bookkeeping_us": stats(calls[:, 2], 2),
+            "drive_build_ms": stats(builds[:, 0], 3),
+            "cooling_build_ms": stats(builds[:, 1], 3),
+            "nbar": float(nbars[0])}
     return out
 
 

@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 from .fockspace import FockCutoff, thermal_state, check_density_matrix
 from .model import DriveParams, CoolParams, DerivedParams, derive, khz
-from .channels import NoiseParams, CoolingChannel, lindblad_step, unitary_step
+from .channels import NoiseParams, CoolingChannel, lindblad_step
 from .protocol import (ExperimentConfig, InitialState, Convergence,
                        CutoffPolicy, Trajectory, run, SimulationDiverged)
 from .probe import ProbeParams, measure_nbar, simulate_probe, fit_populations

@@ -3,11 +3,8 @@ exponential saturation, saturation extrapolation, critical power law and
 log-log slopes.  A scan reads each point's nbar out directly, or through
 the probe emulation when given a probe.ProbeParams."""
 
-import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, asdict, replace
-from functools import cache
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -17,7 +14,8 @@ from .fockspace import trace_out_spin
 from .probe import (FitError, fit_covariance, measure_nbar, read_table,
                     write_table)
 from .protocol import (run, config_with_coupling, config_with_ratio,
-                       SimulationDiverged)
+                       SimulationDiverged, _openblas, _pin_blas, blas_threads,
+                       one_blas_thread)
 
 
 # a scan point's columns after the axis value, with their types: the
@@ -83,65 +81,6 @@ def _point_configs(make, values, probe, axis=True):
                 for c in configs]
     except ValueError as exc:
         raise ConfigError(f"scan: {exc}") from exc
-
-
-@cache
-def _openblas():
-    """(file name, get, set) of the thread-count functions of each OpenBLAS
-    copy loaded in this process: numpy's libscipy_openblas64_ and scipy's
-    libscipy_openblas.  Empty where no copy exposes them."""
-    import ctypes
-    import scipy.linalg  # noqa: F401  loads scipy's copy next to numpy's
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
-                            if "openblas" in line.rsplit("/", 1)[-1]})
-    except OSError:
-        return ()
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get and set_:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((os.path.basename(path), get, set_))
-                break
-    return tuple(found)
-
-
-def blas_threads():
-    """{file name: thread count} of each OpenBLAS copy in this process."""
-    return {name: get() for name, get, _ in _openblas()}
-
-
-def _pin_blas():
-    """Set every OpenBLAS copy to one thread; a pool worker's initializer."""
-    for _, _, set_ in _openblas():
-        set_(1)
-
-
-@contextmanager
-def one_blas_thread():
-    """Run the block with every OpenBLAS copy in this process on one thread,
-    then restore the counts found on entry; does nothing where no copy
-    exposes them.  Most points run at b <= 69, where a second thread slows
-    the drive's products (88 against 95 us at b = 69 on a 2-vCPU VM); at
-    b = 154 and 231 it speeds them up (600 against 460 us, 1840 against
-    1170 us), a gain the pin gives up, since pool workers would
-    oversubscribe the cores.  One thread also makes the results
-    independent of the host's core count (at b = 154 the drive's output
-    on two threads differs by 1e-16)."""
-    libs = _openblas()
-    saved = [get() for _, get, _ in libs]
-    _pin_blas()
-    try:
-        yield
-    finally:
-        for (_, _, set_), count in zip(libs, saved):
-            set_(count)
 
 
 def pool_size(threads, n_jobs):

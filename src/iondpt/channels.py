@@ -1,4 +1,4 @@
-"""State-evolution primitives: unitary steps, the exact dissipator of the
+"""State-evolution primitives: propagators, the exact dissipator of the
 phase-covariant boson jumps (cooling, heating, dephasing, recoil), noise,
 and the cycle's two stage maps on the boson state: the drive and the
 sideband cooling (exact and linearized).  lindblad_step is the exact
@@ -93,16 +93,9 @@ def make_noise_jumps(noise, cutoff):
 
 def unitary_propagator(H, t):
     """exp(-i H t) by eigendecomposition of a Hermitian H."""
-    check_hermitian(H, "unitary_step generator")
+    check_hermitian(H, "unitary_propagator H")
     w, v = np.linalg.eigh(H)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def unitary_step(rho, H, t):
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    U = unitary_propagator(H, t)
-    return U @ rho @ U.conj().T
 
 
 def lindblad_step(rho, H, jumps, t):

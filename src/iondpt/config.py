@@ -153,10 +153,6 @@ def experiment_from_tree(tree):
         **kw)
 
 
-def load_experiment(path):
-    return experiment_from_tree(load_tree(path))
-
-
 def scan_spec(tree):
     """Validated scan section: axis plus either explicit values or a range;
     a cooling scan's omega_c (rad/us) per g-scan."""

@@ -11,6 +11,8 @@ from cycle to cycle is its parity blocks (fockspace.to_blocks).
 """
 
 import functools
+import os
+from contextlib import contextmanager
 
 import numpy as np
 from dataclasses import dataclass, field, replace
@@ -96,7 +98,6 @@ class ExperimentConfig:
     cutoff: CutoffPolicy = field(default_factory=CutoffPolicy)
     jitter_sigma: float = 0.0      # per-run Gaussian sigma on delta_b, delta_r (rad/us)
     seed: int = 0
-    debug_validate: bool = False
 
     def __post_init__(self):
         if self.max_cycles < 1:
@@ -148,7 +149,18 @@ def _cooling_stage(cool, cutoff, noise, mode):
     return CoolingChannel(cool, cutoff, noise=noise, mode=mode)
 
 
-def _run_at_cutoff(config, drive, cutoff):
+def _drive_map(config, cutoff):
+    """The drive stage of a run of config at this cutoff, seeded jitter
+    included: h_qrm and the noise jumps, then the cooling window."""
+    derived = derive(_jittered_drive(config))
+    # free evolution; H0's constant -omega_a/2 on |down, n> cancels in rho_m
+    free = np.exp(-1j * derived.omega_f * np.arange(cutoff.bdim)
+                  * config.cool.tau_d)
+    return drive_stage(h_qrm(derived, cutoff), config.drive.tau, free,
+                       make_noise_jumps(config.noise, cutoff))
+
+
+def _run_at_cutoff(config, cutoff):
     """The run at this cutoff, or None once the tail of the top two boson
     levels exceeds eps, on the initial state or after any cycle."""
     k_check = cutoff.n_max - 1   # top two boson levels
@@ -158,12 +170,7 @@ def _run_at_cutoff(config, drive, cutoff):
         return None   # thermal tail beyond eps
     if fs.tail_mass(fs.populations(state), k_check) > config.cutoff.eps:
         return None
-    derived = derive(drive)
-    # free evolution; H0's constant -omega_a/2 on |down, n> cancels in rho_m
-    free = np.exp(-1j * derived.omega_f * np.arange(cutoff.bdim)
-                  * config.cool.tau_d)
-    drive_map = drive_stage(h_qrm(derived, cutoff), drive.tau, free,
-                            make_noise_jumps(config.noise, cutoff))
+    drive_map = _drive_map(config, cutoff)
     cooling = _cooling_stage(config.cool, cutoff, config.noise,
                              config.channel_mode)
     levels = np.arange(cutoff.bdim, dtype=complex)   # no cast per cycle
@@ -179,8 +186,6 @@ def _run_at_cutoff(config, drive, cutoff):
         if fs.tail_mass(pops, k_check) > config.cutoff.eps:
             _cooling_stage.cache_clear()   # free it before the next rung's
             return None
-        if config.debug_validate:
-            fs.check_density_matrix(fs.from_blocks(state))
         nbar[i] = fs.expectation(pops, levels)
         if tolerance and i + 1 >= conv.window:
             tail = nbar[i + 1 - conv.window:i + 1]
@@ -191,10 +196,69 @@ def _run_at_cutoff(config, drive, cutoff):
     n = i + 1
     cycle = np.arange(1, n + 1)
     return Trajectory(cycle=cycle, nbar=nbar[:n], p_up=pups[:n],
-                      t_us=cycle * (drive.tau + config.cool.tau_d),
+                      t_us=cycle * (config.drive.tau + config.cool.tau_d),
                       n_max=cutoff.n_max, window=conv.window,
                       final_state=fs.from_blocks(state), converged=converged,
                       cycles_run=n)
+
+
+@functools.cache
+def _openblas():
+    """(file name, get, set) of the thread-count functions of each OpenBLAS
+    copy loaded in this process: numpy's libscipy_openblas64_ and scipy's
+    libscipy_openblas.  Empty where no copy exposes them."""
+    import ctypes
+    import scipy.linalg  # noqa: F401  loads scipy's copy next to numpy's
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((os.path.basename(path), get, set_))
+                break
+    return tuple(found)
+
+
+def blas_threads():
+    """{file name: thread count} of each OpenBLAS copy in this process."""
+    return {name: get() for name, get, _ in _openblas()}
+
+
+def _pin_blas():
+    """Set every OpenBLAS copy to one thread; a pool worker's initializer."""
+    for _, _, set_ in _openblas():
+        set_(1)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every OpenBLAS copy in this process on one thread,
+    then restore the counts found on entry; does nothing where no copy
+    exposes them.  Most points run at b <= 69, where a second thread slows
+    the drive's products (88 against 95 us at b = 69 on a 2-vCPU VM); at
+    b = 154 and 231 it speeds them up (600 against 460 us, 1840 against
+    1170 us), a gain the pin gives up, since pool workers would
+    oversubscribe the cores.  One thread also makes the results
+    independent of the host's core count (at b = 154 the drive's output
+    on two threads differs by 1e-16)."""
+    libs = _openblas()
+    saved = [get() for _, get, _ in libs]
+    _pin_blas()
+    try:
+        yield
+    finally:
+        for (_, _, set_), count in zip(libs, saved):
+            set_(count)
 
 
 def run(config):
@@ -203,17 +267,18 @@ def run(config):
 
     A truncation tail above eps restarts the run from cycle 0 at a larger
     cutoff.  Non-convergence within max_cycles is reported via
-    Trajectory.converged, not raised.
+    Trajectory.converged, not raised.  The run is on one BLAS thread
+    (one_blas_thread), so its numbers do not depend on the caller's.
     """
-    drive = _jittered_drive(config)
     policy = config.cutoff
     n_max = policy.n_max
-    while (traj := _run_at_cutoff(config, drive, FockCutoff(n_max))) is None:
-        if n_max >= policy.ceiling:
-            raise SimulationDiverged(
-                f"diverging phonon number: cutoff ceiling {policy.ceiling} "
-                "reached with truncation tail above eps")
-        n_max = min(int(np.ceil(n_max * policy.growth)), policy.ceiling)
+    with one_blas_thread():
+        while (traj := _run_at_cutoff(config, FockCutoff(n_max))) is None:
+            if n_max >= policy.ceiling:
+                raise SimulationDiverged(
+                    f"diverging phonon number: cutoff ceiling "
+                    f"{policy.ceiling} reached with truncation tail above eps")
+            n_max = min(int(np.ceil(n_max * policy.growth)), policy.ceiling)
     return traj
 
 
@@ -224,14 +289,14 @@ def config_with_coupling(config, g):
     return replace(config, drive=replace(d, omega_sb=omega_sb))
 
 
-def config_with_ratio(config, ratio, g=None):
+def config_with_ratio(config, ratio, g):
     """Copy of config with delta_b + delta_r rescaled to the given ratio R,
-    keeping delta_b - delta_r fixed; omega_sb re-derived from g if given."""
+    keeping delta_b - delta_r fixed, and omega_sb re-derived from g."""
     d = config.drive
     diff = d.delta_b - d.delta_r
     total = ratio * diff
     delta_b = 0.5 * (total + diff)
     delta_r = 0.5 * (total - diff)
-    omega_sb = d.omega_sb if g is None else omega_sb_for_coupling(g, delta_b, delta_r)
-    return replace(config, drive=replace(d, delta_b=delta_b, delta_r=delta_r,
-                                         omega_sb=omega_sb))
+    return replace(config, drive=replace(
+        d, delta_b=delta_b, delta_r=delta_r,
+        omega_sb=omega_sb_for_coupling(g, delta_b, delta_r)))

@@ -10,6 +10,7 @@ import numpy as np
 
 from iondpt import channels as ch
 from iondpt import fockspace as fs
+from iondpt import protocol
 from iondpt.model import check_hermitian
 
 
@@ -161,6 +162,28 @@ def composite_split_step(H, jumps, t, rho):
         rho = dissipate(mid @ rho @ mid.conj().T)
         rho = last @ rho @ last.conj().T
     return rho
+
+
+def validated_cycles(config):
+    """(run(config), nbar per cycle) with the run's cycles stepped again
+    through its own stages at the cutoff it accepted, checking the state
+    after every drive and every cooling stage (StateValidityError)."""
+    traj = protocol.run(config)
+    cutoff = fs.FockCutoff(traj.n_max)
+    drive = protocol._drive_map(config, cutoff)
+    cooling = protocol._cooling_stage(config.cool, cutoff, config.noise,
+                                      config.channel_mode)
+    state = protocol.prepare_initial(config, cutoff)
+    levels = np.arange(cutoff.bdim, dtype=complex)
+    nbar = []
+    with protocol.one_blas_thread():
+        for _ in range(traj.cycles_run):
+            state = drive(state)
+            fs.check_density_matrix(fs.from_blocks(state))
+            state, _ = cooling.apply(state)
+            fs.check_density_matrix(fs.from_blocks(state))
+            nbar.append(fs.expectation(fs.populations(state), levels))
+    return traj, np.array(nbar)
 
 
 def subprocess_env(**variables):

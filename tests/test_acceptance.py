@@ -22,6 +22,8 @@ from iondpt.analysis import (FitError, g_scan, r_scan, cooling_scan,
                              fit_critical_power_law, fit_loglog_slope,
                              crossover_midpoint)
 
+from helpers import validated_cycles
+
 R_GRID = [50, 100, 200, 400, 800, 1600]
 
 DRIVE_R25 = DriveParams.from_khz(26.0, 24.0, 9.0, 20.0)
@@ -218,15 +220,15 @@ def test_criterion_11_probe_pipeline(relaxation_runs):
 def test_criterion_12_property_suite(composite_reference):
     checks = []
 
-    # density-matrix validity after every channel of a noisy run
+    # density-matrix validity after every stage of a noisy run
     noisy = ExperimentConfig(
         drive=DRIVE_R25, cool=COOL_13,
         initial=InitialState(kind="thermal", nbar=2.0), channel_mode="exact",
-        max_cycles=10, debug_validate=True,
+        max_cycles=10,
         noise=NoiseParams.from_per_second(heating_per_s=50.0,
                                           dephasing_per_s=200.0,
                                           recoil=True))
-    run(noisy)  # raises on any validity violation
+    validated_cycles(noisy)  # raises on any validity violation
     checks.append(("validity", True))
 
     # analytic damping and dephasing oracles to 1e-4

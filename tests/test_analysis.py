@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,15 +10,18 @@ from scipy.optimize import least_squares
 
 from helpers import subprocess_env
 
+from iondpt.config import experiment_from_tree, load_tree
 from iondpt.model import DriveParams, CoolParams
 from iondpt.probe import ProbeParams, read_table
-from iondpt.protocol import ExperimentConfig, InitialState
+from iondpt.protocol import (ExperimentConfig, InitialState, CutoffPolicy,
+                             config_with_coupling)
 from iondpt import analysis as an
 from iondpt.analysis import (ScanResult, FitError, g_scan, r_scan,
                              extrapolate_saturation, fit_exponential_saturation,
                              fit_critical_power_law, fit_loglog_slope,
                              crossover_midpoint, scan_to_csv, scan_from_csv)
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def make_scan(values, nbar, axis="R"):
     values = np.asarray(values, dtype=float)
@@ -96,6 +100,28 @@ def test_scan_points_run_on_one_blas_thread(monkeypatch, threads):
     finally:
         for name, _, set_ in an._openblas():
             set_(caller[name])
+
+
+@needs_blas
+def test_run_ignores_the_callers_blas_threads():
+    """run pins BLAS itself.  On fig2c at g = 2.3 and n_max 153 two
+    threads change the drive's products in the last bits, yet a caller on
+    two threads reads the nbar of a pinned run bit for bit."""
+    base = experiment_from_tree(load_tree(CONFIGS / "fig2c.yaml"))
+    cfg = replace(config_with_coupling(base, 2.3), max_cycles=10,
+                  cutoff=CutoffPolicy(n_max=153, ceiling=153, eps=1.0))
+    with an.one_blas_thread():
+        pinned = an.run(cfg).nbar
+    caller = an.blas_threads()
+    for _, _, set_ in an._openblas():
+        set_(2)
+    try:
+        nbar = an.run(cfg).nbar
+        assert set(an.blas_threads().values()) == {2}
+    finally:
+        for name, _, set_ in an._openblas():
+            set_(caller[name])
+    assert np.array_equal(nbar, pinned)
 
 
 IMPORT_BLAS_THREADS = """\
@@ -207,6 +233,14 @@ def test_extrapolate_saturation_detects_divergence():
     y = 0.05 * R ** 0.843
     with pytest.raises(FitError, match="non-saturating"):
         extrapolate_saturation(make_scan(R, y))
+
+
+def test_extrapolate_saturation_window_stops_at_a_zero_difference():
+    R = 50.0 * 2 ** np.arange(7)
+    y = 3.0 - 2.0 * R ** -0.5
+    y[1] = y[2]   # the fit window ends before this flat step
+    ns, err = extrapolate_saturation(make_scan(R, y))
+    assert ns == pytest.approx(3.0, abs=1e-9)
 
 
 def test_extrapolate_saturation_needs_points():

@@ -10,7 +10,7 @@ from iondpt.model import DriveParams, CoolParams, derive, khz
 from iondpt import channels as ch
 from iondpt.channels import (NoiseParams, SplitStepPropagator, CoolingChannel,
                              Dissipator, make_noise_jumps,
-                             lindblad_step, unitary_step, pulse_kraus,
+                             lindblad_step, unitary_propagator, pulse_kraus,
                              apply_kraus, pulse_table, apply_offsets,
                              recoil_diffusion, recoil_kick)
 
@@ -103,7 +103,7 @@ def test_noise_params_validation_and_units():
     assert NoiseParams.from_per_second(recoil=True).recoil_enabled
 
 
-def test_unitary_step_phase_and_energy():
+def test_unitary_flow_phase_and_energy():
     cut = FockCutoff(2)
     omega = khz(25.0)
     sz = tensor(np.diag([-1.0, 1.0]), np.eye(cut.bdim))
@@ -111,7 +111,7 @@ def test_unitary_step_phase_and_energy():
     psi = (ket(cut, 0, 0) + ket(cut, 1, 0)) / np.sqrt(2)
     rho = np.outer(psi, psi.conj())
     t = 3.7
-    out = unitary_step(rho, H, t)
+    out = lindblad_step(rho, H, [], t)
     # |down><up| coherence acquires phase e^{-i omega t}, magnitude unchanged
     coh_in = rho[0, cut.bdim]
     coh_out = out[0, cut.bdim]
@@ -120,22 +120,29 @@ def test_unitary_step_phase_and_energy():
     assert fs.expectation(out, H) == pytest.approx(fs.expectation(rho, H), abs=1e-12)
 
 
-def test_unitary_step_pi_pulse():
+def test_unitary_flow_pi_pulse():
     cut = FockCutoff(4)
     omega_c = khz(20.0)
     H = h_red_sideband(omega_c, cut)
     rho = projector(cut, 0, 1)
-    out = unitary_step(rho, H, np.pi / omega_c)  # Omega_c t = pi on sqrt(1)
+    # Omega_c t = pi on sqrt(1)
+    out = lindblad_step(rho, H, [], np.pi / omega_c)
     assert np.abs(out - projector(cut, 1, 0)).max() < 1e-10
 
 
-def test_unitary_step_rejects_non_hermitian():
+def test_generators_reject_non_hermitian_h():
     H = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     rho = np.eye(2, dtype=complex) / 2
-    with pytest.raises(ValueError):
-        unitary_step(rho, H, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unitary_propagator H"):
+        unitary_propagator(H, 1.0)
+    with pytest.raises(ValueError, match="lindblad_step H"):
         lindblad_step(rho, H, [], 1.0)
+
+
+def test_lindblad_step_rejects_negative_time():
+    rho = np.eye(2, dtype=complex) / 2
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        lindblad_step(rho, None, [], -1.0)
 
 
 def test_lindblad_damping_oracle():
@@ -181,7 +188,8 @@ def test_lindblad_step_no_jumps_matches_unitary():
     cut = FockCutoff(4)
     H = h_qrm(DERIVED, cut)
     rho = projector(cut, 0, 2)
-    assert np.allclose(lindblad_step(rho, H, [], 7.0), unitary_step(rho, H, 7.0))
+    U = unitary_propagator(H, 7.0)
+    assert np.allclose(lindblad_step(rho, H, [], 7.0), U @ rho @ U.conj().T)
 
 
 def test_make_noise_jumps():
@@ -450,8 +458,8 @@ def test_cooling_stage_commutes_with_free_evolution(mode, noise, n_max):
 def test_exact_pulse_matches_sideband_rotation():
     cut = FockCutoff(12)
     rho = even_state(cut.n_max, seed=2)
-    rotated = unitary_step(embed_down(rho), h_red_sideband(COOL.omega_c, cut),
-                           COOL.tau_c)
+    rotated = lindblad_step(embed_down(rho), h_red_sideband(COOL.omega_c, cut),
+                            [], COOL.tau_c)
     out = pulse_map("exact", THETA, cut)(rho)
     assert np.abs(out - fs.trace_out_spin(rotated)).max() < 1e-12
     assert p_up(rotated) == pytest.approx(

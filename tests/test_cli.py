@@ -1,6 +1,8 @@
 import csv
+import errno
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +94,13 @@ def test_missing_and_malformed_config(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("drive:\n  delta_b_khz: 26.0\n")
     assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+
+def test_directory_config_is_config_error(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    message = f"{tmp_path}: {os.strerror(errno.EISDIR)}"
+    assert message in capsys.readouterr().err
 
 
 def test_run_without_config_is_config_error(tmp_path):

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from iondpt.config import (ConfigError, load_tree, load_experiment,
-                           experiment_from_tree, scan_spec, probe_spec)
+from iondpt.config import (ConfigError, load_tree, experiment_from_tree,
+                           scan_spec, probe_spec)
 from iondpt.model import CoolParams, DriveParams, khz
 from iondpt.probe import ProbeParams
 from iondpt.protocol import ExperimentConfig
@@ -34,7 +34,7 @@ def test_load_shipped_configs():
 
 
 def test_fig2a_values():
-    cfg = load_experiment(CONFIGS / "fig2a.yaml")
+    cfg = experiment_from_tree(load_tree(CONFIGS / "fig2a.yaml"))
     assert cfg.drive.delta_b == pytest.approx(khz(26.0))
     assert cfg.drive.delta_r == pytest.approx(khz(24.0))
     assert cfg.drive.omega_sb == pytest.approx(khz(9.0))
@@ -168,9 +168,8 @@ def defaulted_leaves(obj, path=""):
 
 
 def test_a_config_reaches_every_run_setting():
-    """The file is the one source of a run's physics: a tree can move every
-    defaulted setting of the run and of the probe off its default.  Only
-    the per-cycle check switch debug_validate is not physics."""
+    """The file is the one source of a run's settings: a tree can move
+    every defaulted setting of the run and of the probe off its default."""
     tree = minimal_tree(
         noise={"heating_per_s": 50.0, "dephasing_per_s": 200.0,
                "recoil": True},
@@ -182,7 +181,7 @@ def test_a_config_reaches_every_run_setting():
                "decay_model": "pow07"})
     unreached = [name for obj in (experiment_from_tree(tree), probe_spec(tree))
                  for name, value, default in defaulted_leaves(obj)
-                 if value == default and name != "debug_validate"]
+                 if value == default]
     assert unreached == []
 
 

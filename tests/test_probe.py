@@ -266,6 +266,15 @@ def test_fit_requires_enough_samples():
         fit_populations(scan, k_max=6)
 
 
+def test_fit_warns_of_a_rank_deficient_jacobian():
+    """At whole probe periods 2 pi / Omega the basis columns of k = 0 and
+    k = 3 (sqrt(k + 1) = 1 and 2) are both all ones."""
+    times = 2 * np.pi / OMEGA * np.arange(1, 21)
+    scan = simulate_probe(fock_diag([1.0]), OMEGA, times)
+    with pytest.warns(RuntimeWarning, match="rank-deficient Jacobian"):
+        fit_populations(scan, k_max=3)
+
+
 def test_unknown_decay_model():
     times = default_probe_times(OMEGA)
     scan = simulate_probe(fock_diag([1.0]), OMEGA, times)

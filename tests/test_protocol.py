@@ -6,14 +6,13 @@ from iondpt.fockspace import FockCutoff
 from iondpt import fockspace as fs
 from iondpt.model import DriveParams, CoolParams, derive
 from iondpt import model
-from iondpt.channels import (NoiseParams, drive_stage, make_noise_jumps,
-                             unitary_propagator)
+from iondpt.channels import NoiseParams, unitary_propagator
 from iondpt.protocol import (ExperimentConfig, InitialState, Convergence,
                              CutoffPolicy, SimulationDiverged, prepare_initial,
                              run, config_with_coupling, config_with_ratio,
-                             _cooling_stage)
+                             _cooling_stage, _drive_map)
 
-from helpers import h_qrm, on_parity_blocks
+from helpers import h_qrm, on_parity_blocks, validated_cycles
 
 DRIVE = DriveParams.from_khz(26.0, 24.0, 9.0, 20.0)
 COOL = CoolParams.from_khz(20.0, 5.0, 13.0)
@@ -203,9 +202,10 @@ def test_jitter_changes_drive_deterministically():
 
 
 def test_trajectory_validity_during_run():
-    cfg = make_config(max_cycles=8, debug_validate=True,
+    cfg = make_config(max_cycles=8,
                       initial=InitialState(kind="thermal", nbar=2.0))
-    traj = run(cfg)  # raises StateValidityError on violation
+    traj, nbar = validated_cycles(cfg)  # raises on any invalid state
+    assert np.array_equal(nbar, traj.nbar)
     assert np.all(traj.nbar >= 0)
 
 
@@ -233,20 +233,12 @@ def test_wall_clock_origin_invariance(mode, noisy, composite_reference):
         assert np.abs(ref - traj.nbar).max() <= 1e-12
 
 
-def drive_of(cfg, cut):
-    """The drive stage of a run of cfg at cutoff cut."""
-    derived = derive(cfg.drive)
-    free = np.exp(-1j * derived.omega_f * np.arange(cut.bdim) * cfg.cool.tau_d)
-    return drive_stage(model.h_qrm(derived, cut), cfg.drive.tau, free,
-                       make_noise_jumps(cfg.noise, cut))
-
-
 @pytest.mark.parametrize("noisy", [False, True], ids=["quiet", "noisy"])
 def test_drive_stage_trace_and_positivity(noisy):
     cut = FockCutoff(20)
     cfg = make_config(noise=NOISE if noisy else NoiseParams())
     rho = fs.thermal_state(2.0, cut, eps=1e-3)
-    out = on_parity_blocks(drive_of(cfg, cut))(rho)
+    out = on_parity_blocks(_drive_map(cfg, cut))(rho)
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(out)[0] > -1e-12
     assert np.abs(out - out.conj().T).max() < 1e-14
@@ -270,7 +262,7 @@ def test_noise_free_drive_map_matches_dense_unitary(n_max):
     rho = 0.5 * (rho + z[:, None] * rho * z[None, :]) / np.trace(rho).real
     ref = sum(u @ rho @ u.conj().T for u in (U[:b, :b], U[b:, :b]))
     ref = P[:, None] * ref * P.conj()[None, :]
-    out = on_parity_blocks(drive_of(make_config(), cut))(rho)
+    out = on_parity_blocks(_drive_map(make_config(), cut))(rho)
     assert np.abs(out - ref).max() <= 1e-12
 
 
