@@ -34,12 +34,13 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from iondpt import analysis, cli
+from iondpt import cli
 from iondpt import fockspace as fs
 from iondpt.channels import CoolingChannel
 from iondpt.config import experiment_from_tree, load_tree
 from iondpt.fockspace import FockCutoff
-from iondpt.protocol import _drive_map, config_with_coupling, prepare_initial
+from iondpt.protocol import (_drive_map, blas_threads, config_with_coupling,
+                             one_blas_thread, prepare_initial)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -172,12 +173,12 @@ def git_revision():
 
 
 def host():
-    with analysis.one_blas_thread():
-        pinned = analysis.blas_threads()
+    with one_blas_thread():
+        pinned = blas_threads()
     return {"nproc": os.cpu_count(), "platform": platform.platform(),
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "openblas_threads": analysis.blas_threads(),
+            "openblas_threads": blas_threads(),
             "openblas_threads_in_stages": pinned}
 
 
@@ -191,7 +192,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     started = time.perf_counter()
     revision, dirty = git_revision()
-    with analysis.one_blas_thread():
+    with one_blas_thread():
         stages = stage_costs(args.n_max, args.repeats)
         configs = config_times(args.configs, args.repeats)
     report = {

@@ -3,7 +3,6 @@ exponential saturation, saturation extrapolation, critical power law and
 log-log slopes.  A scan reads each point's nbar out directly, or through
 the probe emulation when given a probe.ProbeParams."""
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -14,8 +13,7 @@ from .fockspace import trace_out_spin
 from .probe import (FitError, fit_covariance, measure_nbar, read_table,
                     write_table)
 from .protocol import (run, config_with_coupling, config_with_ratio,
-                       SimulationDiverged, _openblas, _pin_blas, blas_threads,
-                       one_blas_thread)
+                       SimulationDiverged, one_blas_thread)
 
 
 # a scan point's columns after the axis value, with their types: the
@@ -67,13 +65,16 @@ def _steady_point(args):
     return dict(zip(POINT_COLUMNS, point))
 
 
-def _point_configs(make, values, probe, axis=True):
+def _point_configs(make, values, probe, threads, axis=True):
     """(make(v), probe resolved for it) for every scan value, all built
     before any point runs; probe None reads nbar out directly.  A value or
-    probe frequency that fails a check, or an axis whose values do not
-    strictly increase, is reported as ConfigError."""
+    probe frequency that fails a check, an axis whose values do not
+    strictly increase, or threads other than 1 (points run in the calling
+    process) is reported as ConfigError."""
     from .config import ConfigError   # keeps yaml out of `import iondpt`
     try:
+        if threads != 1:
+            raise ValueError(f"threads must be 1, got {threads}")
         if axis and np.any(np.diff(values) <= 0):
             raise ValueError("scan axis must be strictly increasing")
         configs = [make(v) for v in values]
@@ -83,24 +84,11 @@ def _point_configs(make, values, probe, axis=True):
         raise ConfigError(f"scan: {exc}") from exc
 
 
-def pool_size(threads, n_jobs):
-    """Worker processes a scan of n_jobs points runs in; 1 means serial."""
-    return max(1, min(threads or 1, n_jobs))
-
-
-def _dispatch(jobs, threads):
-    """Steady-state point per (config, probe) job, serially or in a pool of
-    pool_size(threads, len(jobs)) workers, on one BLAS thread either way."""
-    workers = pool_size(threads, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_pin_blas) as pool:
-            return list(pool.map(_steady_point, jobs))
+def _scan(axis, values, jobs, label=""):
+    """The ScanResult of each (config, probe) job's steady-state point, run
+    in this process on one BLAS thread."""
     with one_blas_thread():
-        return [_steady_point(j) for j in jobs]
-
-
-def _collect(axis, values, rows, label=""):
+        rows = [_steady_point(j) for j in jobs]
     return ScanResult(axis, values, label=label, **{
         name: np.array([r[name] for r in rows], dtype=kind)
         for name, kind in POINT_COLUMNS.items()})
@@ -115,8 +103,7 @@ def g_scan(base_config, g_values, probe=None, threads=1):
             raise ValueError("g values must be > 0")
         return config_with_coupling(base_config, g)
 
-    rows = _dispatch(_point_configs(make, g_values, probe), threads)
-    return _collect("g", g_values, rows)
+    return _scan("g", g_values, _point_configs(make, g_values, probe, threads))
 
 
 def r_scan(base_config, r_values, fixed_g, probe=None, threads=1):
@@ -124,9 +111,9 @@ def r_scan(base_config, r_values, fixed_g, probe=None, threads=1):
     delta_b - delta_r."""
     r_values = np.asarray(r_values, dtype=float)
     jobs = _point_configs(
-        lambda r: config_with_ratio(base_config, r, g=fixed_g), r_values, probe)
-    rows = _dispatch(jobs, threads)
-    return _collect("R", r_values, rows, label=f"g={fixed_g}")
+        lambda r: config_with_ratio(base_config, r, g=fixed_g), r_values,
+        probe, threads)
+    return _scan("R", r_values, jobs, label=f"g={fixed_g}")
 
 
 def cooling_scan(base_config, omega_c_values, g_values, probe=None, threads=1):
@@ -134,7 +121,7 @@ def cooling_scan(base_config, omega_c_values, g_values, probe=None, threads=1):
     probe frequency checked before the first g-scan runs."""
     bases = _point_configs(lambda omega_c: replace(
         base_config, cool=replace(base_config.cool, omega_c=omega_c)),
-        omega_c_values, probe, axis=False)
+        omega_c_values, probe, threads, axis=False)
     results = []
     for omega_c, (cfg, _) in zip(omega_c_values, bases):
         scan = g_scan(cfg, g_values, probe, threads)

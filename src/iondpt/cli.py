@@ -20,7 +20,7 @@ from . import __version__
 from . import analysis, channels, probe
 from .config import (ConfigError, load_tree, experiment_from_tree, scan_spec,
                      probe_spec)
-from .protocol import SimulationDiverged, run
+from .protocol import SimulationDiverged, blas_threads, one_blas_thread, run
 
 EXIT_CONFIG = 2
 EXIT_SIMULATION = 3
@@ -47,7 +47,7 @@ def _write_manifest(out_dir, stem, tree, seed, started, outputs, **extra):
         "version": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "openblas_threads": analysis.blas_threads(),
+        "openblas_threads": blas_threads(),
         # the integrator of the noisy stages, which their outputs depend on
         "split_step": {"slice_us": channels.SLICE_US,
                        "gauss_nodes": len(channels.GAUSS_NODES)},
@@ -106,8 +106,6 @@ def cmd_run(args):
 
 
 def cmd_scan(args):
-    if args.threads < 1:
-        raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
     tree, config = _load_config(args)
     spec = scan_spec(tree)
     popts = probe_spec(tree)   # checked whether or not --probe reads it
@@ -132,8 +130,7 @@ def cmd_scan(args):
         label = f" [{scan.label}]" if scan.label else ""
         print(f"wrote {path}{label}")
     manifest = _write_manifest(
-        args.out_dir, stem, tree, config.seed, started, outputs, readout=readout,
-        processes=analysis.pool_size(args.threads, len(spec["values"])))
+        args.out_dir, stem, tree, config.seed, started, outputs, readout=readout)
     print(f"wrote {manifest}")
     return 0
 
@@ -238,7 +235,8 @@ def build_parser():
     p_scan.add_argument("--probe", action="store_true",
                         help="read out nbar through the probe emulation")
     p_scan.add_argument("--threads", type=int, default=1,
-                        help="worker processes (default: 1, serial)")
+                        help="scan points run in this process; only 1 is "
+                             "accepted")
     p_scan.set_defaults(func=cmd_scan)
 
     p_fit = sub.add_parser("fit", help="fit a stored CSV dataset")
@@ -263,7 +261,7 @@ def main(argv=None):
     if getattr(args, "out_dir", None):
         os.makedirs(args.out_dir, exist_ok=True)
     try:
-        with analysis.one_blas_thread():
+        with one_blas_thread():
             return args.func(args)
     except ConfigError as exc:
         message, code = str(exc), EXIT_CONFIG

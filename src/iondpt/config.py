@@ -8,6 +8,8 @@ included.  A key it omits takes the default of the parameter dataclass it
 feeds, and the dataclasses make the checks.
 """
 
+import math
+
 import numpy as np
 import yaml
 
@@ -28,10 +30,19 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _finite(val):
+    """Whether val is a number (not a bool) whose float is finite."""
+    try:
+        return not isinstance(val, bool) and math.isfinite(val)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _number(mapping, key, where):
     val = _require(mapping, key, where)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {val!r}")
+    if not _finite(val):
+        raise ConfigError(f"{where}.{key}: expected a finite number, "
+                          f"got {val!r}")
     return float(val)
 
 
@@ -46,13 +57,11 @@ def _integer(mapping, key, where):
 
 
 def _numbers(mapping, key, where):
-    """A non-empty list of numbers, as floats."""
+    """A non-empty list of finite numbers, as floats."""
     val = _require(mapping, key, where)
-    if (not isinstance(val, list) or not val
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in val)):
+    if not isinstance(val, list) or not val or not all(map(_finite, val)):
         raise ConfigError(f"{where}.{key}: expected a non-empty list of "
-                          f"numbers, got {val!r}")
+                          f"finite numbers, got {val!r}")
     return [float(v) for v in val]
 
 
@@ -78,7 +87,7 @@ def _mapping(tree, key, where, required=True):
 
 
 def _section(tree, name, factory, numbers=(), integers=(), as_is=(),
-             required=False, read_elsewhere=(), **extra):
+             required=False, read_elsewhere=()):
     """factory(**keywords) from a section's keys: numbers as floats,
     integers as ints, the as_is keys unchanged.  Unless required, a key the
     file omits is left out and so takes the dataclass default.  A key that
@@ -90,7 +99,7 @@ def _section(tree, name, factory, numbers=(), integers=(), as_is=(),
     for read, keys in ((_number, numbers), (_integer, integers)):
         kw.update((key, read(sec, key, name))
                   for key in keys if required or key in sec)
-    return _build(name, factory, **kw, **extra)
+    return _build(name, factory, **kw)
 
 
 def _build(where, factory, **kw):

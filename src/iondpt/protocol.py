@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown channel mode {self.channel_mode!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.jitter_sigma >= 0:
+            raise ValueError("jitter_sigma must be >= 0")
 
 
 @dataclass
@@ -234,26 +236,23 @@ def blas_threads():
     return {name: get() for name, get, _ in _openblas()}
 
 
-def _pin_blas():
-    """Set every OpenBLAS copy to one thread; a pool worker's initializer."""
-    for _, _, set_ in _openblas():
-        set_(1)
-
-
 @contextmanager
 def one_blas_thread():
     """Run the block with every OpenBLAS copy in this process on one thread,
     then restore the counts found on entry; does nothing where no copy
     exposes them.  Most points run at b <= 69, where a second thread slows
-    the drive's products (88 against 95 us at b = 69 on a 2-vCPU VM); at
-    b = 154 and 231 it speeds them up (600 against 460 us, 1840 against
-    1170 us), a gain the pin gives up, since pool workers would
-    oversubscribe the cores.  One thread also makes the results
-    independent of the host's core count (at b = 154 the drive's output
-    on two threads differs by 1e-16)."""
+    the drive's products (88 against 95 us at b = 69 on a 2-vCPU VM), and
+    the probe fits too (1.7 ms each on one thread against 2.8-5.5 ms on
+    two, on fig2c).  At b = 154 and 231 a second thread speeds the drive
+    up (600 against 460 us, 1840 against 1170 us), yet two threads at
+    b >= 100 took the probe g-scan of fig2c to g = 2.3 from a median of
+    0.6186 to 0.6173 s, inside the runs' spread.  One thread also makes
+    the results independent of the host's core count (at b = 154 the
+    drive's output on two threads differs by 1e-16)."""
     libs = _openblas()
     saved = [get() for _, get, _ in libs]
-    _pin_blas()
+    for _, _, set_ in libs:
+        set_(1)
     try:
         yield
     finally:

@@ -10,11 +10,12 @@ from scipy.optimize import least_squares
 
 from helpers import subprocess_env
 
-from iondpt.config import experiment_from_tree, load_tree
+from iondpt.config import ConfigError, experiment_from_tree, load_tree
 from iondpt.model import DriveParams, CoolParams
 from iondpt.probe import ProbeParams, read_table
 from iondpt.protocol import (ExperimentConfig, InitialState, CutoffPolicy,
-                             config_with_coupling)
+                             _openblas, blas_threads, config_with_coupling,
+                             one_blas_thread, run)
 from iondpt import analysis as an
 from iondpt.analysis import (ScanResult, FitError, g_scan, r_scan,
                              extrapolate_saturation, fit_exponential_saturation,
@@ -56,49 +57,30 @@ def test_g_scan_small_monotone():
         g_scan(cfg, [0.0, 1.0])
 
 
-def test_scan_parallel_matches_serial():
-    cfg = small_config(max_cycles=25)
-    gs = [0.8, 1.2, 1.6]
-    serial = g_scan(cfg, gs, threads=1)
-    parallel = g_scan(cfg, gs, threads=2)
-    assert np.array_equal(serial.nbar, parallel.nbar)
-
-
-def test_scan_pool_never_outnumbers_its_points(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was built")
-
-    monkeypatch.setattr(an, "ProcessPoolExecutor", no_pool)
-    scan = g_scan(small_config(max_cycles=10), [1.0], threads=4)
-    assert scan.nbar.size == 1
-    assert an.pool_size(8, 2) == 2 and an.pool_size(None, 5) == 1
-
-
 needs_blas = pytest.mark.skipif(
-    not an._openblas(), reason="no loaded OpenBLAS exposes its thread count")
+    not _openblas(), reason="no loaded OpenBLAS exposes its thread count")
 
 
 def blas_thread_point(job):
     """Stands in for analysis._steady_point: the point's nbar is the largest
     thread count of any OpenBLAS copy while it runs."""
-    return dict(nbar=float(max(an.blas_threads().values())), sigma=np.nan,
+    return dict(nbar=float(max(blas_threads().values())), sigma=np.nan,
                 converged=True, cycles=0, n_max=0)
 
 
 @needs_blas
-@pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
+@pytest.mark.parametrize("threads", [1], ids=["serial"])
 def test_scan_points_run_on_one_blas_thread(monkeypatch, threads):
-    # the fork start method carries the patch into the pool's workers
     monkeypatch.setattr(an, "_steady_point", blas_thread_point)
-    caller = an.blas_threads()
-    for _, _, set_ in an._openblas():
+    caller = blas_threads()
+    for _, _, set_ in _openblas():
         set_(2)
     try:
         scan = g_scan(small_config(), [0.8, 1.2], threads=threads)
         assert np.all(scan.nbar == 1)
-        assert set(an.blas_threads().values()) == {2}
+        assert set(blas_threads().values()) == {2}
     finally:
-        for name, _, set_ in an._openblas():
+        for name, _, set_ in _openblas():
             set_(caller[name])
 
 
@@ -110,16 +92,16 @@ def test_run_ignores_the_callers_blas_threads():
     base = experiment_from_tree(load_tree(CONFIGS / "fig2c.yaml"))
     cfg = replace(config_with_coupling(base, 2.3), max_cycles=10,
                   cutoff=CutoffPolicy(n_max=153, ceiling=153, eps=1.0))
-    with an.one_blas_thread():
-        pinned = an.run(cfg).nbar
-    caller = an.blas_threads()
-    for _, _, set_ in an._openblas():
+    with one_blas_thread():
+        pinned = run(cfg).nbar
+    caller = blas_threads()
+    for _, _, set_ in _openblas():
         set_(2)
     try:
-        nbar = an.run(cfg).nbar
-        assert set(an.blas_threads().values()) == {2}
+        nbar = run(cfg).nbar
+        assert set(blas_threads().values()) == {2}
     finally:
-        for name, _, set_ in an._openblas():
+        for name, _, set_ in _openblas():
             set_(caller[name])
     assert np.array_equal(nbar, pinned)
 
@@ -181,6 +163,9 @@ def test_probe_scan_rejects_zero_frequency_before_any_point(monkeypatch, scan):
     cfg = small_config(cool=CoolParams.from_khz(0.0, 5.0, 13.0))
     with pytest.raises(ValueError, match="probe Rabi frequency"):
         scan(cfg, dict(probe=ProbeParams()))
+    # a scan's points run in the calling process, so threads is 1
+    with pytest.raises(ConfigError, match="threads must be 1, got 2"):
+        scan(small_config(), dict(threads=2))
 
 
 def test_fit_exponential_saturation_round_trip():

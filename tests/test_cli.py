@@ -14,6 +14,7 @@ import yaml
 
 from helpers import subprocess_env
 from iondpt import analysis, cli
+from iondpt.protocol import blas_threads
 from iondpt.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -65,7 +66,7 @@ def test_run_outputs_and_manifest(base_config, tmp_path):
     assert meta["seed"] == 0
     assert (meta["numpy"], meta["scipy"]) == (np.__version__, scipy.__version__)
     # read inside the command, which runs every OpenBLAS copy on one thread
-    assert meta["openblas_threads"].keys() == analysis.blas_threads().keys()
+    assert meta["openblas_threads"].keys() == blas_threads().keys()
     assert set(meta["openblas_threads"].values()) <= {1}
     assert meta["split_step"] == {"slice_us": 2.0, "gauss_nodes": 2}
     assert (out / "base_relaxation.json").is_file()
@@ -306,6 +307,7 @@ G_SCAN = "scan:\n  axis: g\n  values: [0.8, 1.2]\n"
                          "  omega_c_khz: [20.0, 0.0]\n"),
     (["scan", "--threads", "0"], G_SCAN),
     (["scan", "--threads", "-3"], G_SCAN),
+    (["scan", "--threads", "2"], G_SCAN),
     (["run", "--seed", "-1"], "jitter_sigma_khz: 0.1\n"),
     (["run"], "jitter_sigma_khz: 0.1\nseed: -1\n"),
     (["probe-demo", "--seed", "-1"], "probe:\n  shots: 100\n"),
@@ -316,13 +318,22 @@ G_SCAN = "scan:\n  axis: g\n  values: [0.8, 1.2]\n"
     (SCAN, G_SCAN + "probe:\n  k_max: -3\n"),
     # a key nothing reads, such as a misspelt one, is an error
     (["run"], "noise:\n  heating_per_sec: 50.0\n"),
-    (SCAN, G_SCAN + "probe:\n  shot: 100\n")],
+    (SCAN, G_SCAN + "probe:\n  shot: 100\n"),
+    # a number read from the file is finite
+    (["run"], "initial:\n  nbar: .nan\n"),
+    (["run"], "cycles:\n  mode: tolerance\n  tol: .nan\n"),
+    (["run"], "noise:\n  heating_per_s: .nan\n"),
+    (["run"], "drive:\n  tau_us: .inf\n"),
+    (["run"], "jitter_sigma_khz: .nan\n"),
+    (["run"], "jitter_sigma_khz: -0.5\n")],
     ids=["scan-decreasing", "scan-g-zero", "scan-R-below-one",
          "scan-negative-omega-c", "scan-cooling-probe-zero-omega-c",
-         "threads-zero", "threads-negative", "seed-flag", "seed-file",
+         "threads-zero", "threads-negative", "threads-two", "seed-flag",
+         "seed-file",
          "seed-probe-demo", "channel-unknown", "recoil-not-bool",
          "ceiling-below-n-max", "scan-direct-bad-probe", "noise-key-unknown",
-         "probe-key-unknown"])
+         "probe-key-unknown", "nbar-nan", "tol-nan", "heating-nan",
+         "tau-inf", "jitter-nan", "jitter-negative"])
 def test_bad_setting_rejected_before_any_cycle(tmp_path, monkeypatch, capsys,
                                                command, setting):
     def no_cycles(config):
@@ -330,9 +341,14 @@ def test_bad_setting_rejected_before_any_cycle(tmp_path, monkeypatch, capsys,
 
     monkeypatch.setattr(cli, "run", no_cycles)
     monkeypatch.setattr(analysis, "run", no_cycles)
+    # the setting's keys replace the base's, section by section
+    tree = yaml.safe_load(BASE_YAML)
+    del tree["seed"], tree["channel"]
+    for key, value in yaml.safe_load(setting).items():
+        tree[key] = ({**tree.get(key, {}), **value} if isinstance(value, dict)
+                     else value)
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(BASE_YAML.replace("seed: 0\n", "")
-                   .replace("channel: exact\n", "") + setting)
+    cfg.write_text(yaml.safe_dump(tree))
     assert main(command + ["--config", str(cfg),
                            "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -343,22 +359,16 @@ def test_scan_probe_bytes_independent_of_threads(tmp_path):
     cfg.write_text(BASE_YAML.replace("max: 40", "max: 20") + G_SCAN
                    + "probe:\n  shots: 1000\n")
 
-    def scan(threads, name):
-        return ["scan", "--probe", "--threads", threads, "--config", str(cfg),
+    def scan(name):
+        return ["scan", "--probe", "--threads", "1", "--config", str(cfg),
                 "--out-dir", str(tmp_path / name)]
 
-    assert main(scan("1", "serial")) == 0
-    assert main(scan("2", "pool")) == 0
-    subprocess.run([sys.executable, "-m", "iondpt.cli", *scan("1", "env")],
+    assert main(scan("serial")) == 0
+    subprocess.run([sys.executable, "-m", "iondpt.cli", *scan("env")],
                    env=subprocess_env(OPENBLAS_NUM_THREADS="2"), check=True,
                    capture_output=True, timeout=300)
-    first = (tmp_path / "serial" / "scan_scan.csv").read_bytes()
-    for name in ("pool", "env"):
-        assert (tmp_path / name / "scan_scan.csv").read_bytes() == first
-    processes = [json.loads((tmp_path / name / "scan_manifest.json")
-                            .read_text())["processes"]
-                 for name in ("serial", "pool")]
-    assert processes == [1, 2]
+    assert (tmp_path / "env" / "scan_scan.csv").read_bytes() == \
+        (tmp_path / "serial" / "scan_scan.csv").read_bytes()
 
 
 def test_diverged_scan_point_row_and_fit(tmp_path):

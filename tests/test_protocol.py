@@ -30,6 +30,9 @@ def test_config_validation():
         make_config(max_cycles=0)
     with pytest.raises(ValueError):
         make_config(channel_mode="hybrid")
+    for sigma in (-0.5, np.nan):
+        with pytest.raises(ValueError, match="jitter_sigma"):
+            make_config(jitter_sigma=sigma)
     with pytest.raises(ValueError):
         InitialState(kind="coherent")
     with pytest.raises(ValueError, match="nbar"):
